@@ -44,7 +44,7 @@ import json
 import math
 import pstats
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 from ..graphs.generators import barabasi_albert, grid_2d
@@ -107,14 +107,6 @@ class PerfEntry:
     combining depth — so ``t_p`` is directly comparable between the
     sharded and single-structure rows.  Like ``phases`` it is optional:
     pre-existing baseline files load unchanged and the gate skips it.
-
-    ``pool`` carries the pool backend's dispatch accounting
-    (:meth:`repro.parallel.pool.PoolBackend.pool_stats`) when the cell
-    ran with ``--backend pool`` — dispatch count and mean per-dispatch
-    bytes copied through the resident image versus the full-image
-    equivalent.  Optional like the others: simulated cells and old
-    baseline files carry no ``pool`` field, and the regression gate
-    never compares it.
     """
 
     workload: str
@@ -125,7 +117,11 @@ class PerfEntry:
     space: int
     phases: dict | None = None
     t_p: float | None = None
-    pool: dict | None = None
+
+
+#: the keys a bench-file entry may carry, and the ones it must.
+_ENTRY_KEYS = frozenset(f.name for f in fields(PerfEntry))
+_ENTRY_REQUIRED = tuple(f.name for f in fields(PerfEntry) if f.default is MISSING)
 
 
 @dataclass
@@ -147,7 +143,7 @@ class BenchReport:
         entries = []
         for e in self.entries:
             d = asdict(e)
-            for opt in ("phases", "t_p", "pool"):
+            for opt in ("phases", "t_p"):
                 if d[opt] is None:
                     # Unset optional fields keep the original on-disk schema.
                     del d[opt]
@@ -161,13 +157,25 @@ class BenchReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BenchReport":
-        if data.get("format") != 1:
+        """Parse a bench file's JSON; malformed input raises ``ValueError``
+        naming the offending key (never a bare ``KeyError``/``TypeError``)."""
+        if not isinstance(data, dict) or data.get("format") != 1:
             raise ValueError("unsupported bench file format")
-        return cls(
-            label=data["label"],
-            scale=data["scale"],
-            entries=[PerfEntry(**e) for e in data["entries"]],
-        )
+        missing = [k for k in ("label", "scale", "entries") if k not in data]
+        if missing:
+            raise ValueError(f"bench file lacks key {missing[0]!r}")
+        entries = []
+        for i, e in enumerate(data["entries"]):
+            if not isinstance(e, dict):
+                raise ValueError(f"entry {i} is not an object")
+            unknown = sorted(set(e) - _ENTRY_KEYS)
+            if unknown:
+                raise ValueError(f"entry {i} has unknown key {unknown[0]!r}")
+            absent = [k for k in _ENTRY_REQUIRED if k not in e]
+            if absent:
+                raise ValueError(f"entry {i} lacks key {absent[0]!r}")
+            entries.append(PerfEntry(**e))
+        return cls(label=data["label"], scale=data["scale"], entries=entries)
 
 
 def _edges_for(family: str, scale: float) -> list[tuple[int, int]]:
@@ -209,23 +217,17 @@ def _run_workload(
     scale: float,
     trace: bool = False,
     shards: int = 4,
-    backend: str = "simulated",
-    workers: int = 2,
     profile: bool = False,
-) -> tuple[float, int, int, int, dict | None, list[dict] | None, dict | None]:
+) -> tuple[float, int, int, int, dict | None, list[dict] | None]:
     """Apply one workload end to end.
 
-    Returns ``(wall_s, work, depth, space, phases, hotspots, pool)``;
+    Returns ``(wall_s, work, depth, space, phases, hotspots)``;
     ``phases`` is the span-tree phase attribution when ``trace`` is on,
     ``hotspots`` the cProfile top-:data:`PROFILE_TOP_N` cumulative table
-    when ``profile`` is on, ``pool`` the backend's dispatch/bytes-copied
-    accounting when the tracker exposes ``pool_stats`` (else ``None``
-    each).  Tracing and profiling both
-    add bookkeeping inside the timed region, so their wall numbers
+    when ``profile`` is on (else ``None`` each).  Tracing and profiling
+    both add bookkeeping inside the timed region, so their wall numbers
     should only be compared against baselines recorded the same way.
-    ``shards`` parameterizes sharded keys; ``backend``/``workers``
-    select the execution backend of the PLDS-family engines (see
-    :func:`repro.registry.make_adapter`).
+    ``shards`` parameterizes sharded keys.
     """
     family, protocol = workload.rsplit("-", 1)
     edges = _edges_for(family, scale)
@@ -243,9 +245,7 @@ def _run_workload(
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    adapter = make_adapter(
-        algo, n_hint, shards=shards, backend=backend, workers=workers
-    )
+    adapter = make_adapter(algo, n_hint, shards=shards)
     # Same GC discipline as ``timeit``: collect leftovers from the
     # previous cell, then keep the cyclic collector out of the timed
     # region so one cell's garbage cannot distort another's wall time.
@@ -280,13 +280,6 @@ def _run_workload(
             prof.disable()
         if gc_was_enabled:
             gc.enable()
-        # Snapshot dispatch accounting before close() tears the images
-        # down, then release the worker processes.
-        stats_fn = getattr(adapter.tracker, "pool_stats", None)
-        pool_info = stats_fn() if stats_fn is not None else None
-        closer = getattr(adapter.tracker, "close", None)
-        if closer is not None:
-            closer()
     if prof is not None:
         hotspots = _top_hotspots(prof)
     cost = adapter.cost
@@ -297,7 +290,6 @@ def _run_workload(
         adapter.space_bytes(),
         phases,
         hotspots,
-        pool_info,
     )
 
 
@@ -309,8 +301,6 @@ def run_suite(
     progress: Callable[[str], None] | None = None,
     trace: bool = False,
     shards: int = 4,
-    backend: str = "simulated",
-    workers: int = 2,
     profile_sink: dict[str, list[dict]] | None = None,
 ) -> list[PerfEntry]:
     """Run every (workload, algo) pair; wall time is the best of ``repeats``.
@@ -327,8 +317,7 @@ def run_suite(
     across repeats (the substrate is deterministic), so they are taken
     from the last run.  With ``trace``
     on, each entry additionally carries its per-phase attribution table.
-    ``shards`` parameterizes sharded algorithm keys only;
-    ``backend``/``workers`` select the PLDS-family execution backend.
+    ``shards`` parameterizes sharded algorithm keys only.
     Passing a dict as ``profile_sink`` turns on cProfile per cell and
     fills the dict with ``"<workload>/<algo>"`` → top cumulative
     hotspots (profiling distorts wall time — don't gate profiled runs
@@ -345,22 +334,18 @@ def run_suite(
         cells: dict[str, tuple] = {}
         for _ in range(repeats):
             for algo in algos:
-                wall, work, depth, space, phases, hotspots, pool_info = (
-                    _run_workload(
-                        workload,
-                        algo,
-                        scale,
-                        trace=trace,
-                        shards=shards,
-                        backend=backend,
-                        workers=workers,
-                        profile=profile_sink is not None,
-                    )
+                wall, work, depth, space, phases, hotspots = _run_workload(
+                    workload,
+                    algo,
+                    scale,
+                    trace=trace,
+                    shards=shards,
+                    profile=profile_sink is not None,
                 )
                 best[algo] = min(best[algo], wall)
-                cells[algo] = (work, depth, space, phases, hotspots, pool_info)
+                cells[algo] = (work, depth, space, phases, hotspots)
         for algo in algos:
-            work, depth, space, phases, hotspots, pool_info = cells[algo]
+            work, depth, space, phases, hotspots = cells[algo]
             if profile_sink is not None and hotspots is not None:
                 profile_sink[f"{workload}/{algo}"] = hotspots
             p = T_P_THREADS if algorithm_spec(algo).parallel else 1
@@ -375,7 +360,6 @@ def run_suite(
                     space=space,
                     phases=phases,
                     t_p=round(t_p, 3),
-                    pool=pool_info,
                 )
             )
             if progress is not None:
@@ -393,8 +377,13 @@ def write_bench(path: str, report: BenchReport) -> None:
 
 
 def load_bench(path: str) -> BenchReport:
+    """Read a ``BENCH_*.json`` file; malformed content (bad JSON, bad
+    or missing keys) raises ``ValueError`` prefixed with ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return BenchReport.from_json_dict(json.load(fh))
+        try:
+            return BenchReport.from_json_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 #: Absolute wall-clock slack for the regression gate: a wall "regression"

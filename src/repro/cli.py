@@ -46,7 +46,7 @@ Commands
     rule and its window.
 ``dash``
     Deterministic terminal dashboard of any artifact with a
-    ``timeline`` section: per-tenant / per-shard / per-worker counter
+    ``timeline`` section: per-tenant / per-shard counter
     series with sparklines, gauge trajectories, and the tenant table.
 ``journal``
     Inspect a dumped write-ahead :class:`UpdateJournal`; a corrupt or
@@ -382,21 +382,20 @@ def cmd_bench(args) -> int:
             raise SystemExit(f"unknown workload {w!r}; choose from {WORKLOADS}")
     if args.repeats < 1:
         raise SystemExit("--repeats must be >= 1")
-    # Validate the baseline before the (possibly long) suite run, not after.
+    # Validate the baseline and the output directory before the
+    # (possibly long) suite run, not after.
     if args.baseline and not os.path.exists(args.baseline):
         raise SystemExit(f"baseline not found: {args.baseline}")
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
+    baseline = load_bench(args.baseline) if args.baseline else None
+    if not os.path.isdir(args.output_dir):
+        raise FileNotFoundError(f"--output-dir not found: {args.output_dir}")
+    if not os.access(args.output_dir, os.W_OK):
+        raise PermissionError(f"--output-dir not writable: {args.output_dir}")
     shards = args.shards if args.shards is not None else 4
     print(
         f"perfsuite: scale={args.scale} repeats={args.repeats} "
         f"algos={','.join(algos)}"
         + (f" shards={shards}" if "plds-sharded" in algos else "")
-        + (
-            f" backend={args.backend} workers={args.workers}"
-            if args.backend != "simulated"
-            else ""
-        )
     )
     profile_sink: dict | None = {} if args.profile else None
     entries = run_suite(
@@ -407,26 +406,12 @@ def cmd_bench(args) -> int:
         progress=lambda line: print(f"  {line}"),
         trace=args.trace,
         shards=shards,
-        backend=args.backend,
-        workers=args.workers,
         profile_sink=profile_sink,
     )
     report = BenchReport(label=args.label, scale=args.scale, entries=entries)
     out_path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
     write_bench(out_path, report)
     print(f"wrote {out_path}")
-    pooled = [e for e in entries if e.pool and e.pool.get("dispatches")]
-    if pooled:
-        dispatches = sum(e.pool["dispatches"] for e in pooled)
-        copied = sum(e.pool["bytes_copied"] for e in pooled)
-        full = sum(e.pool["bytes_full_equiv"] for e in pooled)
-        saved = (1.0 - copied / full) * 100.0 if full else 0.0
-        print(
-            f"pool: {dispatches} dispatches, "
-            f"mean {copied / dispatches:.0f} bytes copied/dispatch "
-            f"(full-image equivalent {full / dispatches:.0f}, "
-            f"{saved:.0f}% saved by dirty ranges)"
-        )
     if profile_sink is not None:
         import json as _json
 
@@ -439,7 +424,6 @@ def cmd_bench(args) -> int:
                     "format": 1,
                     "label": args.label,
                     "scale": args.scale,
-                    "backend": args.backend,
                     "profiles": profile_sink,
                 },
                 fh,
@@ -449,9 +433,8 @@ def cmd_bench(args) -> int:
             fh.write("\n")
         print(f"wrote {profile_path}")
 
-    if not args.baseline:
+    if baseline is None:
         return 0
-    baseline = load_bench(args.baseline)
     cmp = compare_bench(report, baseline, tolerance=args.tolerance)
     for workload, algo in cmp.missing:
         print(f"  MISSING    {workload}/{algo}: in baseline but not rerun")
@@ -818,7 +801,7 @@ def cmd_dash(args) -> int:
         f"dropped={timeline.get('dropped', 0)}"
     )
     # Counter series, bucketed by their distinguishing label so the
-    # per-tenant / per-shard / per-worker views line up.
+    # per-tenant / per-shard views line up.
     groups: dict[str, list[tuple[str, float]]] = {}
     for key, total in sorted(counter_totals(samples).items()):
         _, labels = split_series_key(key)
@@ -827,12 +810,10 @@ def cmd_dash(args) -> int:
             bucket = "per-tenant"
         elif "shard" in table:
             bucket = "per-shard"
-        elif "worker" in table:
-            bucket = "per-worker"
         else:
             bucket = "service"
         groups.setdefault(bucket, []).append((key, total))
-    for bucket in ("per-tenant", "per-shard", "per-worker", "service"):
+    for bucket in ("per-tenant", "per-shard", "service"):
         rows = groups.get(bucket, [])
         if not rows:
             continue
@@ -1025,13 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="bench the sharded coordinator too (plds-sharded "
                         "with this many shards is appended to --algos)")
-    p.add_argument("--backend", choices=("simulated", "pool"),
-                   default="simulated",
-                   help="execution backend for the PLDS-family engines: "
-                        "'pool' fans read-only scans out to a process pool "
-                        "(flat engines only; others stay simulated)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker processes for --backend pool")
     p.add_argument("--profile", action="store_true",
                    help="cProfile every cell and write the top-25 "
                         "cumulative hotspots to PROFILE_<label>.json "

@@ -10,22 +10,12 @@ arrays and work-efficient primitives, not pointer graphs):
   is parallel arrays indexed by slot, compacted on vertex deletion;
 - ``level`` is one dense integer vector (``_lv``) — the single hottest
   load of every cascade loop becomes a list subscript (~17ns on CPython
-  3.11) instead of an attribute load through a record header (~25ns); a
-  contiguous int32 image of the vector (:meth:`_level_bytes`) is the
-  IPC format the pool backend ships through shared memory;
+  3.11) instead of an attribute load through a record header (~25ns);
 - adjacency is slot-based: ``_up[i]`` is a set of neighbor *slots*
   (plain ints), ``_down[i]`` maps lower levels to slot sets — int
-  hashing is cheaper than record hashing and payloads are shareable
-  with worker processes by value;
+  hashing is cheaper than record hashing;
 - desire levels are computed into a dense ``-1``-initialised scratch
   vector sized by the live slot count, not a per-batch dict.
-
-The layout is the prerequisite for a real execution backend: a
-:class:`~repro.parallel.pool.PoolBackend` tracker can ship the level
-image through ``multiprocessing.shared_memory`` and fan the read-only
-desire-level scan out to worker processes (see
-:func:`repro.parallel.pool.attach_consider_task`), which is impossible
-with address-hashed record sets.
 
 Parity contract
 ---------------
@@ -39,7 +29,6 @@ parity fixture and ``tests/test_flat.py`` gate this.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterator
 
 from .. import faults as _faults
@@ -83,19 +72,10 @@ def _merge_marks(
 class PLDSFlat(PLDS):
     """Array-backed PLDS (see module docstring).
 
-    Accepts exactly the :class:`PLDS` constructor parameters; the
-    execution backend is selected by the ``tracker`` (pass a
-    :class:`repro.parallel.pool.PoolBackend` to fan the scan phases out
-    to a process pool).
+    Accepts exactly the :class:`PLDS` constructor parameters.
     """
 
     def __init__(self, n_hint: int, **kwargs: Any) -> None:
-        # The Section-5.9 rebuild path re-runs __init__ on a live
-        # instance; release the previous resident image (if any) so its
-        # stale slot numbering can never be flushed again.
-        stale_image = getattr(self, "_pool_image", None)
-        if stale_image is not None:
-            stale_image.close()
         super().__init__(n_hint, **kwargs)
         #: id -> slot.  Slots are dense in [0, _n) and stable between
         #: vertex deletions (which compact by swapping the last slot in).
@@ -110,17 +90,6 @@ class PLDSFlat(PLDS):
         self._up: list[set[int]] = []
         #: slot -> {lower level -> set of neighbor slots there}.
         self._down: list[dict[int, set[int]]] = []
-        # -- resident-image dirty protocol (repro.parallel.pool) -------
-        #: whether the tracker pool-dispatches (gates dirty noting).
-        self._pool_track = bool(getattr(self.tracker, "pool_tasks", False))
-        #: the ResidentImage shipping this engine's state, if any.
-        self._pool_image: Any = None
-        #: slot numbering changed (vertex insert/compact): full rebuild.
-        self._pool_renumber = True
-        #: edges changed but numbering held: CSR rewrite, level deltas.
-        self._pool_adj_dirty = True
-        #: slots whose level changed since the last flush.
-        self._pool_dirty_slots: list[int] = []
 
     # ------------------------------------------------------------------
     # Slot management
@@ -131,7 +100,6 @@ class PLDSFlat(PLDS):
         if i is None:
             i = self._n
             self._n = i + 1
-            self._pool_renumber = True
             self._slot_of[v] = i
             self._vid.append(v)
             self._lv.append(0)
@@ -151,67 +119,10 @@ class PLDSFlat(PLDS):
     def _restore_level(self, v: int, level: int) -> None:
         self._lv[self._slot(v)] = level
 
-    def _level_bytes(self) -> bytes:
-        """Contiguous int32 image of the level vector.
-
-        This is the zero-copy IPC format: the pool backend memcpys it
-        into a shared segment once per dispatch and workers read levels
-        straight out of the mapped buffer.
-        """
-        return array("i", self._lv).tobytes()
-
-    # ------------------------------------------------------------------
-    # Resident-image encoders (repro.parallel.pool.ResidentImage)
-    # ------------------------------------------------------------------
-
-    def pool_csr(self) -> tuple[array, array]:
-        """CSR-style slot adjacency: ``(offsets, neighbor slots)``.
-
-        Row ``i`` lists slot ``i``'s full neighbor multiset (up-set then
-        down buckets — workers recover the split from levels alone), so
-        the image survives level moves untouched and is rebuilt only
-        when edges or slot numbering change.
-        """
-        n = self._n
-        offsets = array("i", bytes(4 * (n + 1)))
-        nbrs: list[int] = []
-        extend = nbrs.extend
-        ups = self._up
-        downs = self._down
-        for i in range(n):
-            extend(ups[i])
-            for bucket in downs[i].values():
-                extend(bucket)
-            offsets[i + 1] = len(nbrs)
-        return offsets, array("i", nbrs)
-
-    def pool_levels_array(self) -> array:
-        return array("i", self._lv)
-
-    def pool_levels_range(self, lo: int, hi: int) -> array:
-        return array("i", self._lv[lo:hi])
-
-    def _pool_note_ids(self, ids: Any) -> None:
-        """Record that these vertices' levels (may have) changed since
-        the last image flush.  Over-approximation is safe — flushed
-        bytes are read fresh — and the list is capped: a degenerate
-        backlog (e.g. the no-shared-memory fallback never flushing)
-        collapses into a full-image rebuild instead of unbounded
-        growth."""
-        if self._pool_renumber:
-            return
-        dirty = self._pool_dirty_slots
-        slot_of = self._slot_of
-        dirty.extend(slot_of[v] for v in ids)
-        if len(dirty) > 1024 and len(dirty) > 4 * self._n:
-            self._pool_renumber = True
-            del dirty[:]
-
     def _drop_vertex(self, v: int) -> bool:
         i = self._slot_of.pop(v, None)
         if i is None:
             return False
-        self._pool_renumber = True
         last = self._n - 1
         lv = self._lv
         if i != last:
@@ -387,7 +298,6 @@ class PLDSFlat(PLDS):
     # ------------------------------------------------------------------
 
     def _link_slots(self, i: int, j: int) -> None:
-        self._pool_adj_dirty = True
         lv = self._lv
         li = lv[i]
         lj = lv[j]
@@ -413,7 +323,6 @@ class PLDSFlat(PLDS):
         self._deg[j] += 1
 
     def _unlink_slots(self, i: int, j: int) -> None:
-        self._pool_adj_dirty = True
         lv = self._lv
         li = lv[i]
         lj = lv[j]
@@ -583,15 +492,6 @@ class PLDSFlat(PLDS):
             for j in newly_marked:
                 rise_marks_append((lv[j], vid[j]))
 
-        pool_track = self._pool_track
-        if jump and pool_track:
-            # A pool-capable backend ships this desire scan to worker
-            # processes over the resident image; the inline body is the
-            # fallback and the semantics/charge reference.
-            from ..parallel.pool import attach_rise_task
-
-            attach_rise_task(self, rise, moved, rise_marks)
-
         track = self.track_orientation
         touched = self._touched
         mut_depth = self._mut_depth
@@ -629,8 +529,6 @@ class PLDSFlat(PLDS):
                 if __debug__:
                     assert _is_sorted_unique(movers)
                 tracker.flat_parfor(movers, rise)
-                if pool_track:
-                    self._pool_note_ids(movers)
                 if rise_marks:
                     _merge_marks(dirty, rise_marks)
                 if span is not None:
@@ -755,11 +653,6 @@ class PLDSFlat(PLDS):
                     tracer.end(span)
                 continue  # no mover survived the filter at this level
             tracker.add(total_work, mut_depth)
-            if pool_track:
-                # Candidates over-approximate the movers; flushed bytes
-                # are read fresh, so the slack is only a few range
-                # bytes.
-                self._pool_note_ids(candidates)
             if marked_next:
                 bucket = dirty.get(target)
                 if bucket is None:
@@ -775,11 +668,6 @@ class PLDSFlat(PLDS):
     def _move_up_to_slot(self, i: int, target: int) -> list[int]:
         """Slot edition of :meth:`PLDS._move_up_to`; identical charges."""
         self.tracker.add(work=max(1, len(self._up[i])), depth=self._mut_depth)
-        return self._move_up_raw(i, target)
-
-    def _move_up_raw(self, i: int, target: int) -> list[int]:
-        """The move itself, uncharged — the pool backend's rise task
-        folds the charge from its dispatch totals instead."""
         lv = self._lv
         old = lv[i]
         if target <= old:
@@ -842,17 +730,6 @@ class PLDSFlat(PLDS):
 
     def _up_desire_slot(self, i: int) -> int:
         """Slot edition of :meth:`PLDS._up_desire_level`; same charges."""
-        target, work = self._up_desire_calc(i)
-        self.tracker.add(work=work, depth=self._levels_depth)
-        return target
-
-    def _up_desire_calc(self, i: int) -> tuple[int, int]:
-        """The desire walk itself, uncharged: ``(target, work)``.
-
-        Shared between the inline charge wrapper above and the pool
-        rise task's conflict re-evaluation, which must reproduce the
-        walk (and its work amount) without double-charging the
-        tracker."""
         lv = self._lv
         old = lv[i]
         up_i = self._up[i]
@@ -871,7 +748,10 @@ class PLDSFlat(PLDS):
                 cnt -= dropped
             if cnt <= bounds[j]:
                 break
-        return j, max(1, len(up_i) + (j - old))
+        self.tracker.add(
+            work=max(1, len(up_i) + (j - old)), depth=self._levels_depth
+        )
+        return j
 
     # ------------------------------------------------------------------
     # Algorithm 3: RebalanceDeletions (flat)
@@ -936,15 +816,7 @@ class PLDSFlat(PLDS):
                 desire[i] = best
                 mark_buf_append((best, w))
 
-        scan_order = sorted(affected)
-        if getattr(tracker, "pool_tasks", False):
-            # A pool-capable backend ships this read-only scan to worker
-            # processes over the shared level array; the inline body is
-            # the fallback and the semantics/charge reference.
-            from ..parallel.pool import attach_consider_task
-
-            attach_consider_task(self, consider, desire, pending)
-        tracker.flat_parfor(scan_order, consider)
+        tracker.flat_parfor(sorted(affected), consider)
         if mark_buf:
             _merge_marks(pending, mark_buf)
 
@@ -1003,8 +875,6 @@ class PLDSFlat(PLDS):
             if __debug__:
                 assert _is_sorted_unique(movers)
             tracker.flat_parfor(movers, descend)
-            if self._pool_track:
-                self._pool_note_ids(movers)
             if mark_buf:
                 _merge_marks(pending, mark_buf)
             if span is not None:
@@ -1176,8 +1046,7 @@ class PLDSFlat(PLDS):
         The dense level and desire vectors cost one pointer-sized list
         slot per vertex (CPython interns the small level ints, so the
         entries alias shared objects) instead of a boxed-int attribute
-        per record; the int32 IPC image (:meth:`_level_bytes`) adds 4
-        bytes per vertex while a pool dispatch is in flight.  Adjacency
+        per record.  Adjacency
         entries are counted at the same 8-byte granularity the record
         engine uses, plus 16 bytes per non-empty down bucket.  See
         docs/cost_model.md ("Flat-layout memory model").

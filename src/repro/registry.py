@@ -294,23 +294,12 @@ def make_adapter(
     group_shrink_opt: int = 50,
     shards: int = 4,
     partition: str = "hash",
-    backend: str = "simulated",
-    workers: int = 2,
 ) -> DynamicKCoreAdapter:
     """Build the adapter for one algorithm key with paper-default params.
 
     ``shards``/``partition`` only affect sharded keys (``plds-sharded``);
-    the single-structure engines ignore them.  ``backend`` selects the
-    execution backend of the PLDS-family engines: ``"simulated"`` (the
-    metered sequential simulation) or ``"pool"`` (a
-    :class:`~repro.parallel.pool.PoolBackend` fanning pool-capable scans
-    out to ``workers`` processes over a resident shared-memory image).
-    The flat engines dispatch their consider and jump-rise scans;
-    ``plds-sharded`` additionally dispatches each kernel's post-exchange
-    desire evaluation through per-shard child backends.
+    the single-structure engines ignore them.
     """
-    if backend not in ("simulated", "pool"):
-        raise ValueError("backend must be 'simulated' or 'pool'")
     params: dict[str, Any] = {
         "delta": delta,
         "lam": lam,
@@ -321,8 +310,6 @@ def make_adapter(
         "group_shrink_opt": group_shrink_opt,
         "shards": shards,
         "partition": partition,
-        "backend": backend,
-        "workers": workers,
     }
     return algorithm_spec(key).factory(n_hint, params)
 
@@ -349,14 +336,6 @@ def rebuild_adapter(
 # -- built-in algorithm entries (the one table) ------------------------
 
 
-def _make_tracker(p: Mapping[str, Any]) -> WorkDepthTracker:
-    if p.get("backend", "simulated") == "pool":
-        from .parallel.pool import PoolBackend
-
-        return PoolBackend(workers=int(p.get("workers", 2)))
-    return WorkDepthTracker()
-
-
 def _plds_factory(
     key: str, group_shrink_from: str | None, flat: bool = False
 ) -> AdapterFactory:
@@ -371,7 +350,6 @@ def _plds_factory(
                 lam=p["lam"],
                 group_shrink=shrink,
                 upper_coeff=p["upper_coeff"],
-                tracker=_make_tracker(p),
             ),
             False,
         )
@@ -407,8 +385,6 @@ def _sharded_factory(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
             upper_coeff=p["upper_coeff"],
             shards=int(p["shards"]),
             partition=p["partition"],
-            backend=p.get("backend", "simulated"),
-            workers=int(p.get("workers", 2)),
         ),
         False,
     )

@@ -381,11 +381,7 @@ class CoreService:
         recompute).
     **engine_kwargs:
         Forwarded to :func:`repro.registry.make_adapter` (``delta``,
-        ``lam``, ...) or to the application factory.  This includes the
-        execution backend selection — ``backend="pool", workers=4``
-        serves the flat engines *and* ``plds-sharded`` off the process
-        pool's resident shared-memory image, observationally identical
-        to the default simulated backend.
+        ``lam``, ...) or to the application factory.
     """
 
     def __init__(

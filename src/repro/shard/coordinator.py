@@ -95,24 +95,11 @@ class Coordinator:
         partition: str = "hash",
         assignment: dict[int, int] | None = None,
         shard_retry_limit: int = 3,
-        backend: str = "simulated",
-        workers: int = 2,
     ) -> None:
         if shard_retry_limit < 1:
             raise ValueError("shard_retry_limit must be >= 1")
         if partition not in ("hash", "degree"):
             raise ValueError("partition must be 'hash' or 'degree'")
-        if backend not in ("simulated", "pool"):
-            raise ValueError(
-                f"unknown backend {backend!r} (expected 'simulated' or 'pool')"
-            )
-        if tracker is None and backend == "pool":
-            # Execution backend selection (not structural: snapshots
-            # never carry it).  The engine tracker becomes the root
-            # PoolBackend; kernels get child backends via subtracker().
-            from ..parallel.pool import PoolBackend
-
-            tracker = PoolBackend(workers=workers)
         self.partition = partition
         self.shard_retry_limit = shard_retry_limit
         kind = "degree" if assignment is not None and partition == "degree" else "hash"
@@ -218,15 +205,10 @@ class Coordinator:
                 DynamicGraph(edges), self.num_shards
             )
             self.engine.partitioner = balanced
-            old_kernels = self.engine.kernels
             self.engine.kernels = [
                 self.engine._make_kernel(s, self.engine.n_hint, k.tracker)
-                for s, k in enumerate(old_kernels)
+                for s, k in enumerate(self.engine.kernels)
             ]
-            for k in old_kernels:
-                image = getattr(k, "_pool_image", None)
-                if image is not None:
-                    image.close()
         self._initialized = True
         if edges:
             self.update(Batch(insertions=edges))

@@ -76,13 +76,6 @@ class ShardedEngine(QueryView):
     def _make_kernel(
         self, s: int, n_hint: int, kernel_tracker: WorkDepthTracker | None
     ) -> ShardKernel:
-        if kernel_tracker is None:
-            # A pool-capable engine tracker hands each kernel a child
-            # backend: independent metering (the fold contract below),
-            # shared executor/resident images, counters bubbling up.
-            subtracker = getattr(self.tracker, "subtracker", None)
-            if subtracker is not None:
-                kernel_tracker = subtracker()
         owner = self.partitioner.owner
         return ShardKernel(
             shard_id=s,
@@ -340,12 +333,6 @@ class ShardedEngine(QueryView):
             self._make_kernel(s, new_hint, k.tracker)
             for s, k in enumerate(old_kernels)
         ]
-        for k in old_kernels:
-            # Replaced kernels must not leave resident shared-memory
-            # segments behind (their slot numbering is dead anyway).
-            image = getattr(k, "_pool_image", None)
-            if image is not None:
-                image.close()
         self._ghost_sites = {}
         owner = self.partitioner.owner
         for v in verts:  # keep isolated vertices alive at level 0

@@ -41,7 +41,6 @@ union over shards is the global edge set, duplicate-free.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Iterable
 
 from ..core.plds import PLDS, _VertexRecord
@@ -113,22 +112,6 @@ class ShardKernel(PLDS):
         self._affected: set[int] = set()
         #: local vertices moved since the last :meth:`take_moved`.
         self._moved: set[int] = set()
-        # -- resident-image dirty protocol (repro.parallel.pool) -------
-        #: whether the tracker pool-dispatches (gates dirty noting).
-        self._pool_track = bool(getattr(self.tracker, "pool_tasks", False))
-        #: the ResidentImage shipping this kernel's state, if any.
-        self._pool_image = None
-        #: record set changed (materialize/evict/restore): full rebuild.
-        self._pool_renumber = True
-        #: edges changed but the record set held: CSR rewrite only.
-        self._pool_adj_dirty = True
-        #: slots whose level changed since the last flush.
-        self._pool_dirty_slots: list[int] = []
-        #: id -> slot in the resident image (locals + ghosts, ascending
-        #: id); rebuilt by :meth:`pool_csr`.
-        self._pool_slot_of: dict[int, int] = {}
-        #: slot -> record, same ordering.
-        self._pool_recs: list[_VertexRecord] = []
 
     # ------------------------------------------------------------------
     # Structural apply steps (scatter phase)
@@ -169,10 +152,6 @@ class ShardKernel(PLDS):
         """
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
-        # Edges always dirty the adjacency; materialization only forces a
-        # renumber when it mints a record the slot map has never seen.
-        self._pool_adj_dirty = True
-        n_before = len(self._vertices) + len(self._ghosts)
         new_ghosts: list[int] = []
         dirty = self._dirty
         for u, v, counted in items:
@@ -189,8 +168,6 @@ class ShardKernel(PLDS):
                     dirty[r.level] = {r}
                 else:
                     bucket.add(r)
-        if len(self._vertices) + len(self._ghosts) != n_before:
-            self._pool_renumber = True
         return new_ghosts
 
     def apply_deletions(
@@ -205,7 +182,6 @@ class ShardKernel(PLDS):
         """
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
-        self._pool_adj_dirty = True
         dropped: list[int] = []
         affected = self._affected
         for u, v, counted in items:
@@ -221,8 +197,6 @@ class ShardKernel(PLDS):
                         dropped.append(r.id)
                 else:
                     affected.add(r.id)
-        if dropped:
-            self._pool_renumber = True
         return dropped
 
     def consider_affected(self) -> None:
@@ -234,15 +208,7 @@ class ShardKernel(PLDS):
         if not affected:
             return
         vertices = self._vertices
-        body = lambda v: self._consider(vertices[v])  # noqa: E731
-        if self._pool_track:
-            # A pool-capable backend ships this scan to worker processes
-            # over the kernel's resident local+ghost image; the inline
-            # body is the fallback and the semantics/charge reference.
-            from ..parallel.pool import attach_shard_consider_task
-
-            attach_shard_consider_task(self, body)
-        self.tracker.flat_parfor(affected, body)
+        self.tracker.flat_parfor(affected, lambda v: self._consider(vertices[v]))
 
     # ------------------------------------------------------------------
     # Level-synchronous cascade steps (round phase)
@@ -305,8 +271,6 @@ class ShardKernel(PLDS):
                         bucket.add(wrec)
 
             tracker.flat_parfor(sorted(movers), rise)
-            if self._pool_track and moves:
-                self._pool_note_ids(ev[0] for ev in moves)
             return moves
 
         # Levelwise: the monolithic inlined fast path, minus orientation
@@ -373,8 +337,6 @@ class ShardKernel(PLDS):
                 dirty[target] = set(marked_next)
             else:
                 bucket.update(marked_next)
-        if self._pool_track and moves:
-            self._pool_note_ids(ev[0] for ev in moves)
         return moves
 
     def desaturate_level(self, level: int) -> list[MoveEvent]:
@@ -431,8 +393,6 @@ class ShardKernel(PLDS):
                 self._consider(wrec)
 
         tracker.flat_parfor(sorted(movers), descend)
-        if self._pool_track and moves:
-            self._pool_note_ids(ev[0] for ev in moves)
         return moves
 
     def apply_moves(self, events: Iterable[MoveEvent]) -> None:
@@ -445,12 +405,10 @@ class ShardKernel(PLDS):
         """
         dirty = self._dirty
         desire = self._desire
-        changed: list[int] = []
         for v, _old, new in events:
             rec = self._ghosts.get(v)
             if rec is None or rec.level == new:
                 continue
-            changed.append(v)
             if new > rec.level:
                 for wrec in self._move_up_to(rec, new):
                     bucket = dirty.get(wrec.level)
@@ -462,8 +420,6 @@ class ShardKernel(PLDS):
                 for wrec in self._move_down(rec, new):
                     desire.pop(wrec.id, None)
                     self._consider(wrec)
-        if self._pool_track and changed:
-            self._pool_note_ids(changed)
 
     def _consider(self, rec: _VertexRecord) -> None:
         """Algorithm 3's Invariant-2 check + desire enqueue for a local
@@ -481,62 +437,6 @@ class ShardKernel(PLDS):
                 self._pending[dl] = {rec.id}
             else:
                 bucket.add(rec.id)
-
-    # ------------------------------------------------------------------
-    # Resident-image encoders (repro.parallel.pool.ResidentImage)
-    # ------------------------------------------------------------------
-
-    def pool_csr(self) -> tuple["array", "array"]:
-        """CSR-style adjacency over this kernel's record universe.
-
-        Slots cover locals *and* ghosts in ascending-id order, so a
-        local vertex's CSR row can reference its ghost neighbors and
-        the shared level vector carries their mirrored levels.  Rebuilds
-        the id->slot directory as a side effect (the protocol guarantees
-        a renumber-flagged flush calls this before payloads encode).
-        """
-        ids = sorted(self._vertices.keys() | self._ghosts.keys())
-        slot_of = {v: i for i, v in enumerate(ids)}
-        vertices_get = self._vertices.get
-        ghosts = self._ghosts
-        recs = [vertices_get(v) or ghosts[v] for v in ids]
-        offsets = array("i", bytes(4 * (len(ids) + 1)))
-        nbrs: list[int] = []
-        extend = nbrs.extend
-        for i, rec in enumerate(recs):
-            extend(slot_of[w.id] for w in rec.up)
-            for bucket in rec.down.values():
-                extend(slot_of[w.id] for w in bucket)
-            offsets[i + 1] = len(nbrs)
-        self._pool_slot_of = slot_of
-        self._pool_recs = recs
-        return offsets, array("i", nbrs)
-
-    def pool_levels_array(self) -> "array":
-        return array("i", [rec.level for rec in self._pool_recs])
-
-    def pool_levels_range(self, lo: int, hi: int) -> "array":
-        recs = self._pool_recs
-        return array("i", [recs[i].level for i in range(lo, hi)])
-
-    def _pool_note_ids(self, ids: Iterable[int]) -> None:
-        """Record level changes for the delta flush (see the flat
-        engine's counterpart); unknown ids or a degenerate backlog
-        collapse into a full rebuild, which is always safe."""
-        if self._pool_renumber:
-            return
-        slot_get = self._pool_slot_of.get
-        dirty = self._pool_dirty_slots
-        for v in ids:
-            i = slot_get(v)
-            if i is None:
-                self._pool_renumber = True
-                del dirty[:]
-                return
-            dirty.append(i)
-        if len(dirty) > 1024 and len(dirty) > 4 * len(self._pool_slot_of):
-            self._pool_renumber = True
-            del dirty[:]
 
     def take_moved(self) -> set[int]:
         """Local vertices moved since the last call (and reset)."""
@@ -577,7 +477,6 @@ class ShardKernel(PLDS):
 
     def restore_state(self, state: dict) -> None:
         """Rebuild this shard's structures from :meth:`capture_state`."""
-        self._pool_renumber = True
         self._vertices = {}
         self._ghosts = {}
         for v, lvl in state["levels"].items():

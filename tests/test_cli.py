@@ -245,3 +245,47 @@ class TestJournalCommand:
         code, out = run_cli(capsys, "journal", str(path), "--recover")
         assert code == 0
         assert "RECOVERED" in out
+
+
+class TestBenchInputValidation:
+    """Bad ``repro bench`` inputs fail before the suite runs, exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def _suite_must_not_run(self, monkeypatch):
+        from repro.bench import perfsuite
+
+        def boom(*args, **kwargs):
+            raise AssertionError("suite ran despite invalid inputs")
+
+        monkeypatch.setattr(perfsuite, "run_suite", boom)
+
+    def test_missing_output_dir(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        code = main(["bench", "--output-dir", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--output-dir not found" in captured.err
+        assert "cli.py:" in captured.err         # file:line of the raise site
+        assert "Traceback" not in captured.err
+
+    def test_baseline_with_unknown_entry_key(self, capsys, tmp_path):
+        import json
+
+        baseline = tmp_path / "BENCH_old.json"
+        entry = {
+            "workload": "grid-mix", "algo": "pldsopt", "wall_s": 0.1,
+            "work": 1, "depth": 1, "space": 1, "retired": {},
+        }
+        baseline.write_text(json.dumps(
+            {"format": 1, "label": "old", "scale": 1.0, "entries": [entry]}
+        ))
+        code = main([
+            "bench", "--baseline", str(baseline),
+            "--output-dir", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown key 'retired'" in captured.err
+        assert str(baseline) in captured.err
+        assert "perfsuite.py:" in captured.err
+        assert "Traceback" not in captured.err

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,15 @@ def test_bench_json_round_trip(tmp_path) -> None:
         "depth",
         "space",
     }
+
+
+def test_committed_bench_files_load() -> None:
+    # Every BENCH_*.json at the repository root is a trajectory point a
+    # later run may be gated against, so each must stay loadable.
+    paths = sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        assert load_bench(str(path)).entries, path.name
 
 
 def test_bench_report_entry_lookup() -> None:

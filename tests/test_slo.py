@@ -1,10 +1,9 @@
 """Tests for the continuous-telemetry layer: timelines, the flight
-recorder, per-worker pool visibility, and the declarative SLO engine.
+recorder, and the declarative SLO engine.
 
 Determinism is the backbone of every check here: same-seed replays must
-produce byte-identical ``timeline`` sections and ``FLIGHT`` dumps, the
-worker-tally merge must be order-independent, and SLO verdicts are pure
-functions of the artifact JSON.
+produce byte-identical ``timeline`` sections and ``FLIGHT`` dumps, and
+SLO verdicts are pure functions of the artifact JSON.
 """
 
 from __future__ import annotations
@@ -353,44 +352,6 @@ class TestFlightRecorder:
                 assert obs_recorder.ACTIVE is inner
             assert obs_recorder.ACTIVE is outer
         assert obs_recorder.ACTIVE is None
-
-
-# ---------------------------------------------------------------------------
-# Pool worker visibility
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerTallies:
-    TALLIES = [
-        (1, 4, 8, 4, 40),
-        (0, 0, 4, 4, 70),
-        (2, 8, 10, 2, 15),
-    ]
-
-    def test_merge_order_independent(self):
-        from repro.parallel.pool import merge_worker_tallies
-
-        a, b = MetricsRegistry(), MetricsRegistry()
-        merge_worker_tallies(a, self.TALLIES)
-        merge_worker_tallies(b, list(reversed(self.TALLIES)))
-        assert a.flat_series() == b.flat_series()
-        assert a.counter_value("engine.pool.tasks", worker=0) == 4
-        assert a.counter_value("engine.pool.work", worker=1) == 40
-        assert a.gauge_value("engine.pool.slot_lo", worker=2) == 8
-        assert a.gauge_value("engine.pool.slot_hi", worker=2) == 10
-
-    def test_merge_emits_sorted_worker_series(self):
-        from repro.parallel.pool import merge_worker_tallies
-
-        reg = MetricsRegistry()
-        merge_worker_tallies(reg, list(reversed(self.TALLIES)))
-        counters, _, _ = reg.flat_series()
-        workers = [
-            dict(split_series_key(k)[1])["worker"]
-            for k in counters
-            if k.startswith("engine.pool.tasks")
-        ]
-        assert workers == sorted(workers)
 
 
 # ---------------------------------------------------------------------------
