@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .. import faults as _faults
 from ..graphs.dynamic_graph import canonical_edge
@@ -1381,7 +1381,22 @@ class PLDS(QueryView):
 
         Levels fully determine the structure (the U/L partitions and the
         orientation are functions of the levels), so the snapshot stores
-        parameters, per-vertex levels, and the edge list.
+        parameters, per-vertex levels, and the edge list: the O(1)
+        :meth:`snapshot_header` composed with the current level image
+        and edge set by :meth:`compose_snapshot`.
+        """
+        return self.compose_snapshot(
+            self.snapshot_header(),
+            {v: lvl for v, lvl, _ in self._level_items()},
+            self.edges(),
+        )
+
+    def snapshot_header(self) -> dict:
+        """The O(1) parameter part of :meth:`to_snapshot`.
+
+        A Section-5.9 rebuild re-sizes ``n_hint``, so a caller that
+        composes a snapshot of an *earlier* state (the service's
+        rollback) must take the header at that earlier moment.
         """
         return {
             "format": 1,
@@ -1395,8 +1410,20 @@ class PLDS(QueryView):
                 "insertion_strategy": self.insertion_strategy,
                 "structure": self.structure,
             },
-            "levels": sorted([v, self.level(v)] for v in self.vertices()),
-            "edges": sorted(self.edges()),
+        }
+
+    def compose_snapshot(
+        self,
+        header: dict,
+        levels: Mapping[int, int],
+        edges: Iterable[tuple[int, int]],
+    ) -> dict:
+        """A :meth:`to_snapshot` dict from a header, a vertex -> level
+        map, and canonical edges — whichever state they describe."""
+        return {
+            **header,
+            "levels": sorted([v, lvl] for v, lvl in levels.items()),
+            "edges": sorted(edges),
         }
 
     @classmethod

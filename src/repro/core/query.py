@@ -92,7 +92,9 @@ class EpochSnapshot(CorenessQueries):
 
     ``estimates`` and ``levels`` are exposed through read-only mapping
     proxies — an epoch, once published, never changes (that is the whole
-    consistency contract).  Engine-level epochs carry just the level
+    consistency contract).  Maps passed in as proxies are shared, not
+    copied, so a service epoch wrapping its engine's epoch costs no map
+    copy of its own.  Engine-level epochs carry just the level
     image; service-level epochs additionally pin the committed edge set
     (for :meth:`core_subgraph`), the batch horizon, and the degradation
     flag, and sharded engines record the per-shard epoch vector that was
@@ -114,12 +116,13 @@ class EpochSnapshot(CorenessQueries):
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "estimates", MappingProxyType(dict(self.estimates))
-        )
-        object.__setattr__(
-            self, "levels", MappingProxyType(dict(self.levels))
-        )
+        # A mapping proxy is taken as the hand-over of a private map
+        # nobody mutates again (a fresh copy-on-write map, or another
+        # epoch's map) and shared as is; anything else is copied once.
+        for name in ("estimates", "levels"):
+            value = getattr(self, name)
+            if type(value) is not MappingProxyType:
+                object.__setattr__(self, name, MappingProxyType(dict(value)))
 
     def _estimates_view(self) -> Mapping[int, float]:
         return self.estimates
@@ -236,8 +239,8 @@ class QueryView(CorenessQueries):
             estimates = self.coreness_estimates()
             levels = {v: lvl for v, lvl, _ in self._level_items()}
         else:
-            estimates = dict(prev.estimates)
-            levels = dict(prev.levels)
+            estimates = prev.estimates.copy()
+            levels = prev.levels.copy()
             lpg = self.levels_per_group
             pow_table = self._group_pow
             for v in touched:
@@ -255,7 +258,9 @@ class QueryView(CorenessQueries):
                     levels[v] = lvl
         self._epoch_serial += 1
         snap = EpochSnapshot(
-            epoch=self._epoch_serial, estimates=estimates, levels=levels
+            epoch=self._epoch_serial,
+            estimates=MappingProxyType(estimates),
+            levels=MappingProxyType(levels),
         )
         self._published = snap
         return snap

@@ -15,7 +15,7 @@ is the seam those PRs extend: one session object that
   write-ahead :class:`~repro.graphs.streams.UpdateJournal` before the
   engine sees it, and any exception mid-apply (including an
   :class:`~repro.faults.InjectedFault` from the fault-injection
-  substrate) rolls the engine back to its exact pre-batch state and
+  substrate) rolls the engine back to the last committed state and
   retries per a :class:`RetryPolicy`;
 - audits engine health per an :class:`AuditPolicy` and, on a failed
   audit, quarantines the engine and **degrades gracefully** — rebuilding
@@ -63,7 +63,7 @@ from ..core.invariants import plds_invariant_violations, structure_matches_edges
 from ..core.plds import PLDS
 from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochSnapshot
 from ..faults import InjectedFault
-from ..graphs.dynamic_graph import DynamicGraph
+from ..graphs.dynamic_graph import DynamicGraph, canonical_edge
 from ..graphs.streams import (
     Batch,
     EdgeUpdate,
@@ -361,15 +361,18 @@ class CoreService:
         The :class:`AuditPolicy` scheduling invariant audits.
     transactional:
         When ``True`` (default), every batch is journaled write-ahead
-        and any mid-apply exception rolls the engine back to its exact
-        pre-batch state.  Snapshot-capable engines (the PLDS family and
-        the sharded coordinator, which snapshots and restores shard by
-        shard) restore bit-identically from a pre-batch structural
-        snapshot; other engines — and hosted applications — are rebuilt
-        by replaying the untouched graph mirror (valid, though for
-        path-dependent approximate engines not bit-identical).  ``False``
-        restores the pre-PR fail-fast behavior: exceptions propagate and
-        the engine is left as the failure left it.
+        and any mid-apply exception rolls the engine back to the last
+        committed state.  Snapshot-capable engines (the PLDS family and
+        the sharded coordinator, shard by shard) are rebuilt
+        bit-identically from the published epoch's levels and the graph
+        mirror's edges, so the happy path takes no O(n + m) restore
+        point; other engines — and hosted applications — replay the
+        untouched mirror (valid, though for path-dependent approximate
+        engines not bit-identical).  The committed state is the
+        engine's pre-batch state whenever the two agree (what
+        :meth:`audit` checks); an out-of-band edit of the engine does
+        not survive a rollback.  ``False`` is fail-fast: exceptions
+        propagate and the engine is left as the failure left it.
 
         The fault-isolation ladder under sharding, innermost first: a
         fault injected at ``shard.apply`` rolls back and retries **only
@@ -420,6 +423,9 @@ class CoreService:
         self.batches_applied = 0
         self._snapshot_counter = 0
         self._graph = DynamicGraph()
+        #: the mirror's canonical edge set, kept in step with it so a
+        #: commit publishes (and a rollback sorts) it at C speed.
+        self._edges: set[tuple[int, int]] = set()
         self._driver = None
         self.application = None
         #: the engine (or driver) impounded by the last failed audit.
@@ -496,7 +502,7 @@ class CoreService:
 
         The batch is journaled write-ahead, then applied under the
         service's :class:`RetryPolicy`: a failed attempt rolls the
-        engine back to its exact pre-batch state, charges the metered
+        engine back to the last committed state, charges the metered
         backoff, and retries (transient faults only); exhausted or
         non-transient failures re-raise with the journal record aborted
         and the service still serving the pre-batch state.  After a
@@ -510,7 +516,7 @@ class CoreService:
         method runs under a ``service.batch`` span whose (work, depth)
         delta equals this batch's :class:`BatchTelemetry` exactly on
         fault-free batches, with one ``service.apply`` child span per
-        attempt; rollback re-snapshotting breaks the equality for
+        attempt; a rollback's engine rebuild breaks the equality for
         batches that needed a retry (by design — telemetry discards
         rolled-back metering, the span does not once the engine keeps
         its tracker).
@@ -580,9 +586,7 @@ class CoreService:
                 if not self.transactional:
                     self.journal.abort(record)
                     raise
-                self._restore_engine(
-                    tuple(sorted(self._graph.edges())), restore_point
-                )
+                self._roll_back(restore_point)
                 rolled_back = True
                 if mreg is not None:
                     mreg.inc("service.rollbacks")
@@ -608,10 +612,16 @@ class CoreService:
         wall = time.perf_counter() - t0
         # Mirror only after the engine accepted the batch, so a rejected
         # (invalid) batch leaves service state untouched.
-        for u, v in batch.insertions:
-            self._graph.insert_edge(u, v)
+        graph, edges = self._graph, self._edges
+        for e in batch.insertions:
+            u, v = e
+            graph.insert_edge(u, v)
+            # tuple(e) is e itself for a tuple: the set shares the edge
+            # objects the journal record already holds.
+            edges.add(tuple(e) if u < v else (v, u))
         for u, v in batch.deletions:
-            self._graph.delete_edge(u, v)
+            graph.delete_edge(u, v)
+            edges.discard(canonical_edge(u, v))
         self.journal.commit(record)
         after = self._adapter.cost
         delta = Cost(after.work - before.work, after.depth - before.depth)
@@ -802,7 +812,7 @@ class CoreService:
             shard_epochs=shard_epochs,
             batches_applied=self.batches_applied,
             degraded=self.degraded,
-            edges=frozenset(self._graph.edges()),
+            edges=frozenset(self._edges),
         )
         self._published = view
         mreg = _metrics.ACTIVE
@@ -829,12 +839,38 @@ class CoreService:
         return touched
 
     def _restore_point(self) -> dict | None:
-        """Pre-batch rollback state: an exact structural snapshot for
-        snapshot-capable engines, ``None`` for everything rebuilt by
-        replaying the (still pre-batch) graph mirror."""
+        """Pre-batch rollback state, captured in O(1) at batch start.
+
+        For snapshot-capable engines this is only the engine's
+        :meth:`~repro.core.plds.PLDS.snapshot_header` — taken now
+        because a Section-5.9 rebuild inside a failed attempt re-sizes
+        ``n_hint``.  The rest of the pre-batch state is already held by
+        the service: the graph mirror (updated only after the engine
+        accepts the batch) and the last published epoch's level image
+        (see :meth:`_roll_back`).  ``None`` for everything rebuilt by
+        replaying the mirror.
+        """
         if self._driver is None and self.spec.snapshot:
-            return self._adapter.impl.to_snapshot()
+            return self._adapter.impl.snapshot_header()
         return None
+
+    def _roll_back(self, restore_point: dict | None) -> None:
+        """Put the engine back into the last *committed* state.
+
+        Snapshot-capable engines are rebuilt bit-identically from a
+        snapshot composed of ``restore_point`` (the batch-start header),
+        the published epoch's levels, and the mirror's edges — the
+        committed state, so an out-of-band edit of the engine does not
+        survive a rollback.  Everything else replays the mirror.  Only
+        a failed attempt pays this O(n + m) work.
+        """
+        edges = sorted(self._edges)
+        state = None
+        if restore_point is not None:
+            state = self._adapter.impl.compose_snapshot(
+                restore_point, self._published.levels, edges
+            )
+        self._restore_engine(edges, state)
 
     # -- auditing and graceful degradation -------------------------------
 
@@ -860,7 +896,7 @@ class CoreService:
         if isinstance(impl, PLDS):
             problems = list(plds_invariant_violations(impl))
             problems.extend(
-                structure_matches_edges(impl, set(self._graph.edges()))
+                structure_matches_edges(impl, self._edges)
             )
             return problems
         if hasattr(impl, "check_invariants") and hasattr(impl, "edges"):
@@ -869,7 +905,7 @@ class CoreService:
             # edge-set agreement of the shard union with the mirror.
             problems = list(impl.check_invariants())
             problems.extend(
-                structure_matches_edges(impl, set(self._graph.edges()))
+                structure_matches_edges(impl, self._edges)
             )
             return problems
         return []
@@ -904,7 +940,7 @@ class CoreService:
                 batch=self.batches_applied,
                 failures=len(self.audit_failures),
             )
-        edges = sorted(self._graph.edges())
+        edges = sorted(self._edges)
         try:
             self._degrade_ladder(edges)
         finally:
@@ -1003,7 +1039,7 @@ class CoreService:
             snapshot_id=self._snapshot_counter,
             algorithm=self.algorithm,
             batches_applied=self.batches_applied,
-            edges=tuple(sorted(self._graph.edges())),
+            edges=tuple(sorted(self._edges)),
             estimates=self.coreness_map(),
             engine_state=engine_state,
             read_epoch=self.read_epoch,
@@ -1045,6 +1081,7 @@ class CoreService:
             mreg.inc("service.restores", mode="snapshot")
         self._restore_engine(snapshot.edges, snapshot.engine_state)
         self._graph = DynamicGraph(snapshot.edges)
+        self._edges = {canonical_edge(u, v) for u, v in snapshot.edges}
         self.batches_applied = snapshot.batches_applied
         self.telemetry = [
             t for t in self.telemetry if t.batch_id <= snapshot.batches_applied

@@ -36,7 +36,8 @@ single level structure).
 
 from __future__ import annotations
 
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .. import faults as _faults
 from ..core.plds import UpdateResult
@@ -468,8 +469,8 @@ class Coordinator:
                 estimates.update(snap.estimates)
                 levels.update(snap.levels)
         else:
-            estimates = dict(prev.estimates)
-            levels = dict(prev.levels)
+            estimates = prev.estimates.copy()
+            levels = prev.levels.copy()
             for s, snap in enumerate(snaps):
                 for v in per_shard[s]:
                     est = snap.estimates.get(v)
@@ -482,8 +483,8 @@ class Coordinator:
         self._epoch_serial += 1
         view = EpochSnapshot(
             epoch=self._epoch_serial,
-            estimates=estimates,
-            levels=levels,
+            estimates=MappingProxyType(estimates),
+            levels=MappingProxyType(levels),
             shard_epochs=tuple(s.epoch for s in snaps),
         )
         self._published = view
@@ -512,8 +513,19 @@ class Coordinator:
         fully determine the U/L partitions, as for the monolithic
         PLDS).  The partitioner's explicit assignment rides along so a
         restore re-creates the exact same ownership, ghost sets, and
-        directory.
+        directory.  As for :class:`~repro.core.plds.PLDS`, this is the
+        O(1) :meth:`snapshot_header` composed with the gathered level
+        image and edge set by :meth:`compose_snapshot`.
         """
+        return self.compose_snapshot(
+            self.snapshot_header(),
+            {v: lvl for v, lvl, _ in self.engine._level_items()},
+            self.engine.edges(),
+        )
+
+    def snapshot_header(self) -> dict:
+        """The O(1) parameter part of :meth:`to_snapshot` (``n_hint``
+        changes on a rebuild, so take it before the state to restore)."""
         engine = self.engine
         return {
             "format": 1,
@@ -530,16 +542,40 @@ class Coordinator:
                 "partition": self.partition,
                 "shard_retry_limit": self.shard_retry_limit,
             },
-            "assignment": engine.partitioner.assignment_items(),
+        }
+
+    def compose_snapshot(
+        self,
+        header: dict,
+        levels: Mapping[int, int],
+        edges: Iterable[tuple[int, int]],
+    ) -> dict:
+        """A :meth:`to_snapshot` dict from a header, a global vertex ->
+        level map, and canonical edges, split by owner shard.
+
+        The assignment is read here, not in the header: it is fixed
+        once :meth:`initialize` ran, so it is the same for any state of
+        this coordinator that a header could describe.
+        """
+        partitioner = self.engine.partitioner
+        owner = partitioner.owner
+        shards = range(partitioner.num_shards)
+        shard_levels: list[list[list[int]]] = [[] for _ in shards]
+        shard_edges: list[list[tuple[int, int]]] = [[] for _ in shards]
+        for v, lvl in levels.items():
+            shard_levels[owner(v)].append([v, lvl])
+        for e in edges:
+            shard_edges[owner(e[0])].append(e)  # counted on owner(min)
+        return {
+            **header,
+            "assignment": partitioner.assignment_items(),
             "shards": [
                 {
                     "shard": s,
-                    "levels": sorted(
-                        [v, rec.level] for v, rec in k._vertices.items()
-                    ),
-                    "edges": sorted(k.edges()),
+                    "levels": sorted(shard_levels[s]),
+                    "edges": sorted(shard_edges[s]),
                 }
-                for s, k in enumerate(engine.kernels)
+                for s in shards
             ],
         }
 

@@ -228,3 +228,104 @@ def test_chaos_validates_arguments():
         run_chaos(trials=0)
     with pytest.raises(ValueError, match="delete_fraction"):
         run_chaos(delete_fraction=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Rollback restores the engine structure exactly
+# ---------------------------------------------------------------------------
+
+#: Every snapshot-capable engine the rollback composes a snapshot for.
+SNAPSHOT_ENGINES = ("plds", "pldsopt", "pldsflat", "pldsflatopt", "plds-sharded")
+
+
+def _loaded(algorithm, n_hint):
+    """A service holding a committed prefix, plus a mixed batch on top."""
+    edges = barabasi_albert(60, 3, seed=4)
+    svc = CoreService(algorithm, n_hint=n_hint)
+    for batch in insertion_batches(edges[:120], 40, seed=4):
+        svc.apply_batch(batch)
+    mixed = Batch(insertions=edges[120:150], deletions=edges[:20])
+    return svc, mixed
+
+
+def _always(site):
+    """A plan that crashes on every traversal of ``site``."""
+    return FaultPlan([FaultPoint(site, hit) for hit in range(1, 500)])
+
+
+@pytest.mark.parametrize("n_hint", [16, 1024])
+@pytest.mark.parametrize(
+    "site", ["service.apply", "plds.rise", "plds.desaturate"]
+)
+@pytest.mark.parametrize("algorithm", SNAPSHOT_ENGINES)
+def test_exhausted_rollback_restores_engine_structure(algorithm, site, n_hint):
+    svc, mixed = _loaded(algorithm, n_hint)
+    before = svc.engine.to_snapshot()
+    plan = _always(site)
+    with faults.active(plan), pytest.raises(InjectedFault):
+        svc.apply_batch(mixed)
+    assert len(plan.fired) == svc.retry.max_attempts
+    assert svc.engine.to_snapshot() == before
+    assert svc.audit() == []
+
+
+def _growing(algorithm):
+    """A small committed graph and a mixed batch that more than doubles
+    its vertex count, so the batch outgrows ``n_hint`` and rebuilds."""
+    edges = barabasi_albert(60, 3, seed=4)
+    old = [e for e in edges if max(e) < 12]
+    svc = CoreService(algorithm, n_hint=16)
+    svc.apply_batch(Batch(insertions=old))
+    grown = [e for e in edges if max(e) >= 12][:60]
+    return svc, Batch(insertions=grown, deletions=old[:5])
+
+
+def _spy_rebuilds(monkeypatch, svc, plan):
+    """Record ``(rebuilt structure, plds.rise hits so far)`` at each
+    rebuild entry; the structure holds the re-sized ``n_hint``."""
+    impl = svc.engine
+    host, attr = (
+        (impl.engine, "rebuild") if hasattr(impl, "engine") else (impl, "_rebuild")
+    )
+    original = getattr(host, attr)
+    calls = []
+
+    def spy():
+        calls.append((host, plan.counts["plds.rise"]))
+        original()
+
+    monkeypatch.setattr(host, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", SNAPSHOT_ENGINES)
+def test_rollback_of_attempt_that_rebuilt_uses_batch_start_header(
+    monkeypatch, algorithm
+):
+    """A Section-5.9 rebuild inside the failed attempt re-sizes n_hint;
+    the rollback must restore the header captured at batch start."""
+    # Census on an identical service: where in the batch the rebuild runs.
+    twin, mixed = _growing(algorithm)
+    census = faults.recording_plan()
+    rebuilds = _spy_rebuilds(monkeypatch, twin, census)
+    with faults.active(census):
+        twin.apply_batch(mixed)
+    assert rebuilds, "the batch must trigger an in-batch rebuild"
+    rise_before_rebuild = rebuilds[0][1]
+
+    svc, mixed = _growing(algorithm)
+    before = svc.engine.to_snapshot()
+    # Attempt 1 crashes in the rebuild's replay; attempts 2-3 at entry.
+    plan = FaultPlan([
+        FaultPoint("plds.rise", rise_before_rebuild + 1),
+        FaultPoint("service.apply", 2),
+        FaultPoint("service.apply", 3),
+    ])
+    rebuilds = _spy_rebuilds(monkeypatch, svc, plan)
+    with faults.active(plan), pytest.raises(InjectedFault):
+        svc.apply_batch(mixed)
+    assert plan.fired == list(plan.points)
+    rebuilt = rebuilds[0][0]
+    assert rebuilt.n_hint != before["params"]["n_hint"]  # re-sized
+    assert svc.engine.to_snapshot() == before
+    assert svc.audit() == []

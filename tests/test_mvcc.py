@@ -25,8 +25,10 @@ from repro.bench.chaos import (
     run_chaos,
 )
 from repro.graphs.generators import barabasi_albert
-from repro.graphs.streams import Batch, insertion_batches
+from repro.graphs.streams import Batch, deletion_batches, insertion_batches
+from repro.registry import algorithm_keys, algorithm_spec
 from repro.service import AuditPolicy, CoreService, ReadResult, RetryPolicy
+from repro.shard.coordinator import Coordinator
 
 pytestmark = pytest.mark.mvcc
 
@@ -256,3 +258,54 @@ class TestEpochMonotonicity:
     def test_epoch_start_validation(self):
         with pytest.raises(ValueError, match="epoch_start"):
             CoreService("plds", n_hint=16, epoch_start=-1)
+
+
+# ---------------------------------------------------------------------------
+# The published epoch is the committed state a rollback rebuilds from
+# ---------------------------------------------------------------------------
+
+#: Every engine publishing its own copy-on-write level image.
+ASYNC_READ_ALGOS = tuple(
+    k for k in algorithm_keys() if algorithm_spec(k).async_reads
+)
+
+
+def _engine_levels(svc: CoreService) -> dict[int, int]:
+    impl = svc.engine
+    if isinstance(impl, Coordinator):
+        impl = impl.engine
+    return {v: impl.level(v) for v in impl.vertices()}
+
+
+def _assert_epoch_is_committed_state(svc: CoreService, live: set) -> None:
+    view = svc.reader().view
+    assert dict(view.levels) == _engine_levels(svc)
+    assert view.edges == live == set(svc._graph.edges())
+
+
+@pytest.mark.parametrize("algorithm", ASYNC_READ_ALGOS)
+def test_published_levels_and_edges_match_engine_and_mirror(algorithm):
+    assert "plds-sharded" in ASYNC_READ_ALGOS
+    batches = insertion_batches(EDGES, 40, seed=6) + deletion_batches(
+        EDGES[:70], 30, seed=6
+    )
+    svc = CoreService(algorithm, n_hint=32, audit=AuditPolicy("every"))
+    live: set = set()
+    _assert_epoch_is_committed_state(svc, live)
+    snap = None
+    for i, batch in enumerate(batches):
+        svc.apply_batch(batch)
+        live |= set(batch.insertions)
+        live -= set(batch.deletions)
+        _assert_epoch_is_committed_state(svc, live)
+        if i == 2:
+            snap, snap_live = svc.snapshot(), set(live)
+    assert svc.telemetry and not svc.degraded
+    replayed = CoreService.from_journal(svc.journal, algorithm, n_hint=32)
+    _assert_epoch_is_committed_state(replayed, live)
+    svc.restore(snap)
+    _assert_epoch_is_committed_state(svc, snap_live)
+    _corrupt(svc)
+    tail = Batch(insertions=[e for e in EDGES if e not in snap_live][:10])
+    assert svc.apply_batch(tail).degraded
+    _assert_epoch_is_committed_state(svc, snap_live | set(tail.insertions))

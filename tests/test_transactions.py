@@ -415,7 +415,7 @@ def test_degradation_last_resort_is_exact_static(monkeypatch):
     svc.apply_batch(Batch(insertions=EDGES[90:100]))
 
 
-def test_on_recovery_audit_runs_only_after_rollback():
+def test_on_recovery_audit_runs_only_after_rollback(monkeypatch):
     svc = CoreService(
         "plds", n_hint=1024, audit=AuditPolicy("on-recovery")
     )
@@ -424,12 +424,38 @@ def test_on_recovery_audit_runs_only_after_rollback():
     # No rollback happened, so the corruption goes unnoticed...
     svc.apply_batch(Batch(insertions=EDGES[40:60]))
     assert not svc.degraded
-    # ...until a batch needs recovery, which triggers the audit.
+    # ...until a batch needs recovery, which triggers the audit.  The
+    # rollback rebuilds the engine from the committed state, so corrupt
+    # the engine it produces: that is what the recovery audit checks.
+    restore_engine = svc._restore_engine
+
+    def restore_then_corrupt(*args):
+        restore_engine(*args)
+        _corrupt(svc)
+
+    monkeypatch.setattr(svc, "_restore_engine", restore_then_corrupt)
     plan = FaultPlan([FaultPoint("service.apply", 1)])
     with faults.active(plan):
         t = svc.apply_batch(Batch(insertions=EDGES[60:80]))
     assert t.rolled_back and t.degraded
     assert svc.degraded and svc.audit() == []
+
+
+def test_rollback_drops_out_of_band_engine_edit():
+    svc = CoreService(
+        "plds", n_hint=1024, audit=AuditPolicy("on-recovery")
+    )
+    svc.apply_batch(Batch(insertions=EDGES[:40]))
+    _corrupt(svc)
+    assert svc.audit()
+    # A rollback restores the committed state (mirror plus published
+    # levels), not whatever the engine held at batch start.
+    plan = FaultPlan([FaultPoint("service.apply", 1)])
+    with faults.active(plan):
+        t = svc.apply_batch(Batch(insertions=EDGES[40:60]))
+    assert t.rolled_back and not t.degraded
+    assert not svc.engine.has_edge(900, 901)
+    assert svc.audit() == []
 
 
 def test_hosted_application_recovers_from_fault():
