@@ -13,8 +13,6 @@ key         implementation                                 kind
 =========== ============================================= ===========
 plds        :class:`repro.core.plds.PLDS`                  parallel approx
 pldsopt     PLDS with ``group_shrink=50`` (Section 6.1)    parallel approx
-pldsflat    :class:`repro.core.plds_flat.PLDSFlat`         parallel approx
-pldsflatopt PLDSFlat with ``group_shrink=50``              parallel approx
 lds         :class:`repro.core.lds.LDS`                    sequential approx
 sun         :class:`repro.baselines.sun.SunApproxDynamic`  sequential approx
 hua         :class:`repro.baselines.hua.HuaExactBatchDynamic` parallel exact

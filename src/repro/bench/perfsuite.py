@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: algorithms benched by default — the level structures this repo optimizes.
-DEFAULT_ALGOS = ("plds", "pldsopt", "pldsflat", "pldsflatopt", "lds")
+DEFAULT_ALGOS = ("plds", "pldsopt", "lds")
 
 #: workload keys: ``<stream-family>-<protocol>``.
 WORKLOADS = (

@@ -69,6 +69,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -350,9 +351,26 @@ def cmd_service(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import os
+def _check_output_path(
+    flag: str, path: str | None, is_dir: bool = False
+) -> None:
+    """Fail fast (exit 2) when ``path`` cannot be written.
 
+    ``path`` is a directory (``is_dir``) or a file whose parent directory
+    must exist and be writable.  Commands call this before any work, so a
+    typo in an output flag never costs a full run.
+    """
+    if path is None:
+        return
+    target = path if is_dir else os.path.dirname(os.path.abspath(path))
+    what = flag if is_dir else f"{flag} directory"
+    if not os.path.isdir(target):
+        raise FileNotFoundError(f"{what} not found: {target}")
+    if not os.access(target, os.W_OK):
+        raise PermissionError(f"{what} not writable: {target}")
+
+
+def cmd_bench(args) -> int:
     from .bench.perfsuite import (
         BenchReport,
         DEFAULT_ALGOS,
@@ -387,10 +405,7 @@ def cmd_bench(args) -> int:
     if args.baseline and not os.path.exists(args.baseline):
         raise SystemExit(f"baseline not found: {args.baseline}")
     baseline = load_bench(args.baseline) if args.baseline else None
-    if not os.path.isdir(args.output_dir):
-        raise FileNotFoundError(f"--output-dir not found: {args.output_dir}")
-    if not os.access(args.output_dir, os.W_OK):
-        raise PermissionError(f"--output-dir not writable: {args.output_dir}")
+    _check_output_path("--output-dir", args.output_dir, is_dir=True)
     shards = args.shards if args.shards is not None else 4
     print(
         f"perfsuite: scale={args.scale} repeats={args.repeats} "
@@ -474,6 +489,7 @@ def cmd_chaos(args) -> int:
 
     from .bench.chaos import run_chaos
 
+    _check_output_path("--json", args.json)
     report = run_chaos(
         algorithm=args.algorithm,
         vertices=args.vertices,
@@ -532,6 +548,7 @@ def cmd_trace(args) -> int:
     from .obs.tracing import Tracer, iter_spans, phase_totals, tracing
     from .service import CoreService
 
+    _check_output_path("--out", args.output)
     batches = _obs_workload(args)
     svc = CoreService(args.algorithm, n_hint=args.vertices + 1)
     tracer = Tracer()
@@ -582,6 +599,7 @@ def cmd_metrics(args) -> int:
     )
     from .service import CoreService
 
+    _check_output_path("--out", args.output)
     batches = _obs_workload(args)
     svc = CoreService(args.algorithm, n_hint=args.vertices + 1)
     registry = MetricsRegistry()
@@ -611,11 +629,10 @@ def _write_soak_artifact(path: str, report: dict) -> None:
 
 
 def cmd_soak(args) -> int:
-    import os
-
     from .service.admission import AdmissionPolicy, TenantQuota
     from .traffic import SoakConfig, SoakRunner, StallWindow, default_mix
 
+    _check_output_path("--output-dir", args.output_dir, is_dir=True)
     if (args.stall_from is None) != (args.stall_until is None):
         raise SystemExit("--stall-from and --stall-until go together")
     stall = None

@@ -466,7 +466,7 @@ class PLDS(QueryView):
         """Insert zero-degree vertices (placed at level 0)."""
         count = 0
         for v in vs:
-            if not self._has_vertex(v):
+            if v not in self._vertices:
                 count += 1
             self._record(v)
         self._vertex_updates += count
@@ -478,7 +478,7 @@ class PLDS(QueryView):
         vs = set(vs)
         dels: list[tuple[int, int]] = []
         for v in vs:
-            if not self._has_vertex(v):
+            if v not in self._vertices:
                 continue
             for w in self.neighbors(v):
                 e = canonical_edge(v, w)
@@ -487,7 +487,7 @@ class PLDS(QueryView):
                 dels.append(e)
         result = self.update(Batch(deletions=dels))
         for v in vs:
-            if self._drop_vertex(v):
+            if self._vertices.pop(v, None) is not None:
                 self._vertex_updates += 1
         self._maybe_rebuild()
         self._levels_reshaped = True
@@ -1205,21 +1205,6 @@ class PLDS(QueryView):
             self._vertices[v] = rec
         return rec
 
-    # The three hooks below exist so array-backed subclasses (the flat
-    # engine in :mod:`repro.core.plds_flat`) can reuse the generic
-    # vertex-update / rebuild / snapshot drivers without records.
-
-    def _has_vertex(self, v: int) -> bool:
-        return v in self._vertices
-
-    def _drop_vertex(self, v: int) -> bool:
-        """Remove an (isolated) vertex; True if it existed."""
-        return self._vertices.pop(v, None) is not None
-
-    def _restore_level(self, v: int, level: int) -> None:
-        """Create ``v`` at ``level`` (snapshot restore; no rebalancing)."""
-        self._record(v).level = level
-
     @staticmethod
     def _link_records(ru: _VertexRecord, rv: _VertexRecord) -> None:
         """Wire the edge (ru, rv) into both records' U/L structures.
@@ -1444,9 +1429,9 @@ class PLDS(QueryView):
         for v, level in snapshot["levels"]:
             if not 0 <= level < plds.num_levels:
                 raise ValueError(f"level {level} of vertex {v} out of range")
-            plds._restore_level(v, level)
+            plds._record(v).level = level
         for u, v in snapshot["edges"]:
-            if not plds._has_vertex(u) or not plds._has_vertex(v):
+            if u not in plds._vertices or v not in plds._vertices:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
             plds._insert_edge_struct(u, v)
         if plds.track_orientation:

@@ -23,11 +23,11 @@ Example
 -------
 >>> from repro.registry import algorithm_keys, make_adapter, algorithm_spec
 >>> algorithm_keys(dynamic=True)
-('plds', 'pldsopt', 'pldsflat', 'pldsflatopt', 'lds', 'sun', 'hua', 'zhang', 'plds-sharded')
+('plds', 'pldsopt', 'lds', 'sun', 'hua', 'zhang', 'plds-sharded')
 >>> make_adapter("plds", n_hint=100).key
 'plds'
 >>> sorted(k for k in algorithm_keys() if algorithm_spec(k).async_reads)
-['lds', 'plds', 'plds-sharded', 'pldsflat', 'pldsflatopt', 'pldsopt']
+['lds', 'plds', 'plds-sharded', 'pldsopt']
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .baselines.sun import SunApproxDynamic
 from .baselines.zhang import ZhangExactDynamic
 from .core.lds import LDS
 from .core.plds import PLDS
-from .core.plds_flat import PLDSFlat
 from .graphs.streams import Batch
 from .obs import tracing as _tracing
 from .parallel.engine import Cost, WorkDepthTracker
@@ -336,15 +335,12 @@ def rebuild_adapter(
 # -- built-in algorithm entries (the one table) ------------------------
 
 
-def _plds_factory(
-    key: str, group_shrink_from: str | None, flat: bool = False
-) -> AdapterFactory:
+def _plds_factory(key: str, group_shrink_from: str | None) -> AdapterFactory:
     def build(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
         shrink = 1 if group_shrink_from is None else int(p[group_shrink_from])
-        cls = PLDSFlat if flat else PLDS
         return DynamicKCoreAdapter(
             key,
-            cls(
+            PLDS(
                 n_hint,
                 delta=p["delta"],
                 lam=p["lam"],
@@ -409,18 +405,6 @@ register_algorithm(AlgorithmSpec(
     key="pldsopt",
     summary="PLDS with group_shrink=50, the practical variant (Section 6.1)",
     factory=_plds_factory("pldsopt", "group_shrink_opt"),
-    exact=False, parallel=True, snapshot=True, async_reads=True,
-))
-register_algorithm(AlgorithmSpec(
-    key="pldsflat",
-    summary="flat array-backed PLDS, bit-identical to plds (GBBS layout)",
-    factory=_plds_factory("pldsflat", None, flat=True),
-    exact=False, parallel=True, snapshot=True, async_reads=True,
-))
-register_algorithm(AlgorithmSpec(
-    key="pldsflatopt",
-    summary="flat array-backed PLDS with group_shrink=50 (pldsopt twin)",
-    factory=_plds_factory("pldsflatopt", "group_shrink_opt", flat=True),
     exact=False, parallel=True, snapshot=True, async_reads=True,
 ))
 register_algorithm(AlgorithmSpec(

@@ -289,3 +289,44 @@ class TestBenchInputValidation:
         assert str(baseline) in captured.err
         assert "perfsuite.py:" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestOutputPathValidation:
+    """A missing output directory fails before any workload runs, exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def _workloads_must_not_run(self, monkeypatch):
+        import repro.bench.chaos
+        import repro.cli
+        import repro.traffic
+
+        def boom(*args, **kwargs):
+            raise AssertionError("workload ran despite a missing output path")
+
+        monkeypatch.setattr(repro.bench.chaos, "run_chaos", boom)
+        monkeypatch.setattr(repro.cli, "_obs_workload", boom)
+        monkeypatch.setattr(repro.traffic, "SoakRunner", boom)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["chaos", "--vertices", "60", "--trials", "1", "--json"], "--json"),
+            (["trace", "--out"], "--out"),
+            (["metrics", "--out"], "--out"),
+            (["soak", "--output-dir"], "--output-dir"),
+        ],
+        ids=["chaos", "trace", "metrics", "soak"],
+    )
+    def test_missing_directory_exits_2_before_work(
+        self, capsys, tmp_path, argv, flag
+    ):
+        missing = tmp_path / "missing"
+        path = missing if flag == "--output-dir" else missing / "out.json"
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{flag} " in captured.err and "not found" in captured.err
+        assert str(missing) in captured.err
+        assert "cli.py:" in captured.err         # file:line of the raise site
+        assert "Traceback" not in captured.err
+        assert captured.out == ""                # no trial or progress line

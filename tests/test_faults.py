@@ -235,7 +235,7 @@ def test_chaos_validates_arguments():
 # ---------------------------------------------------------------------------
 
 #: Every snapshot-capable engine the rollback composes a snapshot for.
-SNAPSHOT_ENGINES = ("plds", "pldsopt", "pldsflat", "pldsflatopt", "plds-sharded")
+SNAPSHOT_ENGINES = ("plds", "pldsopt", "plds-sharded")
 
 
 def _loaded(algorithm, n_hint):

@@ -30,7 +30,6 @@ import pytest
 
 from repro.core.lds import LDS
 from repro.core.plds import PLDS
-from repro.core.plds_flat import PLDSFlat
 from repro.graphs.streams import Batch
 
 FIXTURE_PATH = os.path.join(
@@ -86,17 +85,6 @@ def _scenarios() -> dict[str, object]:
         "plds-space": lambda: PLDS(n_hint=_N_HINT, structure="space_efficient"),
         "plds-rebuild": lambda: PLDS(n_hint=32),
         "lds": lambda: LDS(n_hint=_N_HINT),
-        # Flat-layout twins: these MUST stay entry-for-entry identical to
-        # plds-levelwise / plds-jump / pldsopt above (the flat layout is
-        # a representation change, not an algorithm change); the twin
-        # equality is asserted by test_flat_entries_match_record_twins.
-        "pldsflat-levelwise": lambda: PLDSFlat(n_hint=_N_HINT),
-        "pldsflat-jump": lambda: PLDSFlat(
-            n_hint=_N_HINT, insertion_strategy="jump"
-        ),
-        "pldsflatopt": lambda: PLDSFlat(
-            n_hint=_N_HINT, group_shrink=50, insertion_strategy="jump"
-        ),
     }
 
 
@@ -131,23 +119,6 @@ def test_golden_parity(name: str) -> None:
     assert got["estimates"] == reference["estimates"], (
         f"{name}: coreness estimates diverged from the seed reference"
     )
-
-
-@pytest.mark.parametrize(
-    "flat_name,record_name",
-    [
-        ("pldsflat-levelwise", "plds-levelwise"),
-        ("pldsflat-jump", "plds-jump"),
-        ("pldsflatopt", "pldsopt"),
-    ],
-)
-def test_flat_entries_match_record_twins(
-    flat_name: str, record_name: str
-) -> None:
-    """The flat-layout fixture entries are byte-identical to their
-    record-layout twins — the golden file itself witnesses the parity."""
-    fixture = _load_fixture()
-    assert fixture[flat_name] == fixture[record_name]
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance entry point

@@ -36,7 +36,7 @@ EDGES = barabasi_albert(60, 3, seed=2)
 
 #: Engines with copy-on-write epoch publication (``async_reads`` in the
 #: registry) plus representatives of the full-sweep fallback path.
-QUERYVIEW_ALGOS = ("plds", "pldsopt", "pldsflat", "pldsflatopt", "plds-sharded")
+QUERYVIEW_ALGOS = ("plds", "pldsopt", "plds-sharded")
 FALLBACK_ALGOS = ("lds", "sun", "zhang")
 
 
@@ -105,9 +105,7 @@ class TestReaderBetweenBatches:
 
 
 class TestPrefixConsistency:
-    @pytest.mark.parametrize(
-        "algorithm", ("pldsopt", "pldsflat", "plds-sharded")
-    )
+    @pytest.mark.parametrize("algorithm", ("pldsopt", "plds-sharded"))
     def test_mid_batch_reads_serve_committed_prefix(self, algorithm):
         batches = chaos_workload(60, 25, seed=1)
         refs = _references(batches, algorithm, n_hint=61)

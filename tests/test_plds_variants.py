@@ -14,8 +14,27 @@ from repro.graphs.streams import Batch
 from repro.static_kcore.exact import exact_coreness
 
 from .conftest import assert_no_violations, build_plds
+from .test_golden_parity import _N_HINT, _stream
 
 EDGES = erdos_renyi(120, 500, seed=21)
+
+#: constructor kwargs per configuration on the golden-parity stream.
+STREAM_CONFIGS: dict[str, dict] = {
+    "levelwise": {},
+    "jump": {"insertion_strategy": "jump"},
+    "opt": {"group_shrink": 50, "insertion_strategy": "jump"},
+    "opt-levelwise": {"group_shrink": 50},
+    "orient-det": {"track_orientation": True, "structure": "deterministic"},
+    "space": {"structure": "space_efficient"},
+}
+
+#: every config on the default seed; the group-shrink and jump-rise
+#: configs also on seeds 7 and 99.
+STREAM_CASES = [pytest.param(c, 1234, id=c) for c in sorted(STREAM_CONFIGS)] + [
+    pytest.param(c, seed, id=f"{c}-{seed}")
+    for c in ("jump", "opt", "opt-levelwise")
+    for seed in (7, 99)
+]
 
 
 class TestJumpInsertionStrategy:
@@ -71,6 +90,23 @@ class TestJumpInsertionStrategy:
         jump = build_plds(edges, insertion_strategy="jump")
         levelwise = build_plds(edges)
         assert jump.tracker.work <= 1.5 * levelwise.tracker.work
+
+
+class TestMixedStreamMatrix:
+    @pytest.mark.parametrize("config,seed", STREAM_CASES)
+    def test_invariants_and_approximation(self, config: str, seed: int) -> None:
+        plds = PLDS(n_hint=_N_HINT, **STREAM_CONFIGS[config])
+        live: set = set()
+        for i, batch in enumerate(_stream(seed=seed)):
+            plds.update(batch)
+            live |= set(batch.insertions)
+            live -= set(batch.deletions)
+            assert_no_violations(plds, f"{config} seed={seed} batch {i}")
+        assert not approximation_violations(
+            plds.coreness_estimates(),
+            exact_coreness(live),
+            plds.approximation_factor(),
+        )
 
 
 class TestStructureVariants:

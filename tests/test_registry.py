@@ -27,11 +27,11 @@ EDGES = barabasi_albert(80, 3, seed=3)
 class TestAlgorithmRegistry:
     def test_expected_keys_in_order(self):
         assert algorithm_keys() == (
-            "plds", "pldsopt", "pldsflat", "pldsflatopt", "lds", "sun",
+            "plds", "pldsopt", "lds", "sun",
             "hua", "zhang", "exactkcore", "approxkcore", "plds-sharded",
         )
         assert algorithm_keys(dynamic=True) == (
-            "plds", "pldsopt", "pldsflat", "pldsflatopt", "lds", "sun",
+            "plds", "pldsopt", "lds", "sun",
             "hua", "zhang", "plds-sharded"
         )
         assert algorithm_keys(parallel=False) == ("lds", "sun", "zhang")
