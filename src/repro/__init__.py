@@ -29,7 +29,9 @@ Subpackages
     The batch-serving layer: :class:`~repro.service.CoreService`
     sessions applying update batches and answering coreness queries.
 ``repro.bench``
-    Experiment harness reproducing the paper's evaluation protocols.
+    Experiment harness reproducing the paper's evaluation protocols
+    (adapters, protocol runners, error metrics, the chaos harness).
+    Wall-clock benchmarking lives outside the package, in ``perf/``.
 
 Quickstart
 ----------

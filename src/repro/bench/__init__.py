@@ -12,26 +12,8 @@ from .harness import (
     run_protocol,
 )
 from .metrics import ErrorStats, error_percentiles, error_stats
-from .perfsuite import (
-    BenchReport,
-    Comparison,
-    ComparisonResult,
-    PerfEntry,
-    compare_bench,
-    load_bench,
-    run_suite,
-    write_bench,
-)
 
 __all__ = [
-    "BenchReport",
-    "Comparison",
-    "ComparisonResult",
-    "PerfEntry",
-    "compare_bench",
-    "load_bench",
-    "run_suite",
-    "write_bench",
     "ALGORITHM_KEYS",
     "ALL_KEYS",
     "StaticRerunAdapter",

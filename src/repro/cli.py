@@ -17,10 +17,6 @@ Commands
     Drive a :class:`repro.service.CoreService` session over a dataset:
     per-batch telemetry (work, depth, wall, simulated ``T_p``), a
     mid-stream snapshot, and coreness queries.
-``bench``
-    Perf-regression suite: time the canonical workloads and write a
-    ``BENCH_<label>.json`` trajectory point, optionally comparing
-    against a previous one.
 ``trace``
     Run a small serving workload under the span tracer and export the
     span forest (Chrome ``trace_event`` or JSONL), printing the
@@ -368,120 +364,6 @@ def _check_output_path(
         raise FileNotFoundError(f"{what} not found: {target}")
     if not os.access(target, os.W_OK):
         raise PermissionError(f"{what} not writable: {target}")
-
-
-def cmd_bench(args) -> int:
-    from .bench.perfsuite import (
-        BenchReport,
-        DEFAULT_ALGOS,
-        WORKLOADS,
-        compare_bench,
-        load_bench,
-        run_suite,
-        write_bench,
-    )
-
-    algos = tuple(args.algos.split(",")) if args.algos else DEFAULT_ALGOS
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit("--shards must be >= 1")
-        if "plds-sharded" not in algos:
-            algos = algos + ("plds-sharded",)
-    for a in algos:
-        if a not in algorithm_keys():
-            raise SystemExit(
-                f"unknown algorithm {a!r}; choose from {algorithm_keys()}"
-            )
-    workloads = (
-        tuple(args.workloads.split(",")) if args.workloads else WORKLOADS
-    )
-    for w in workloads:
-        if w not in WORKLOADS:
-            raise SystemExit(f"unknown workload {w!r}; choose from {WORKLOADS}")
-    if args.repeats < 1:
-        raise SystemExit("--repeats must be >= 1")
-    # Validate the baseline and the output directory before the
-    # (possibly long) suite run, not after.
-    if args.baseline and not os.path.exists(args.baseline):
-        raise SystemExit(f"baseline not found: {args.baseline}")
-    baseline = load_bench(args.baseline) if args.baseline else None
-    _check_output_path("--output-dir", args.output_dir, is_dir=True)
-    shards = args.shards if args.shards is not None else 4
-    print(
-        f"perfsuite: scale={args.scale} repeats={args.repeats} "
-        f"algos={','.join(algos)}"
-        + (f" shards={shards}" if "plds-sharded" in algos else "")
-    )
-    profile_sink: dict | None = {} if args.profile else None
-    entries = run_suite(
-        scale=args.scale,
-        algos=algos,
-        workloads=workloads,
-        repeats=args.repeats,
-        progress=lambda line: print(f"  {line}"),
-        trace=args.trace,
-        shards=shards,
-        profile_sink=profile_sink,
-    )
-    report = BenchReport(label=args.label, scale=args.scale, entries=entries)
-    out_path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
-    write_bench(out_path, report)
-    print(f"wrote {out_path}")
-    if profile_sink is not None:
-        import json as _json
-
-        profile_path = os.path.join(
-            args.output_dir, f"PROFILE_{args.label}.json"
-        )
-        with open(profile_path, "w", encoding="utf-8") as fh:
-            _json.dump(
-                {
-                    "format": 1,
-                    "label": args.label,
-                    "scale": args.scale,
-                    "profiles": profile_sink,
-                },
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        print(f"wrote {profile_path}")
-
-    if baseline is None:
-        return 0
-    cmp = compare_bench(report, baseline, tolerance=args.tolerance)
-    for workload, algo in cmp.missing:
-        print(f"  MISSING    {workload}/{algo}: in baseline but not rerun")
-    for c in cmp.improvements:
-        if c.metric == "wall_s":
-            print(
-                f"  improved   {c.workload}/{c.algo} {c.metric}: "
-                f"{c.baseline:.3f} -> {c.current:.3f} ({1 / c.ratio:.2f}x faster)"
-            )
-    for c in cmp.regressions:
-        print(
-            f"  REGRESSION {c.workload}/{c.algo} {c.metric}: "
-            f"{c.baseline:.3f} -> {c.current:.3f} "
-            f"(+{(c.ratio - 1) * 100:.0f}% > {args.tolerance * 100:.0f}% tolerance)"
-        )
-        cur = report.entry(c.workload, c.algo)
-        if cur is not None and cur.phases:
-            # Name the offending phases: top inclusive-work spans of the
-            # regressed cell's traced run.
-            top = sorted(
-                cur.phases.items(), key=lambda kv: -kv[1]["work"]
-            )[:3]
-            for name, t in top:
-                print(
-                    f"             phase {name}: work={t['work']} "
-                    f"depth={t['depth']} wall={t['wall_s'] * 1e3:.2f}ms"
-                )
-    if cmp.missing or not cmp.ok:
-        print("perf regression check: FAIL")
-        return 1
-    print("perf regression check: OK")
-    return 0
 
 
 def cmd_chaos(args) -> int:
@@ -895,6 +777,17 @@ def cmd_journal(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (e.g. ``--batch-size``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -909,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a whitespace edge-list file (overrides --dataset)")
         p.add_argument("--scale", type=float, default=0.3,
                        help="analog dataset scale factor")
-        p.add_argument("--batch-size", type=int, default=None,
+        p.add_argument("--batch-size", type=_positive_int, default=None,
                        help="updates per batch (default: m/4)")
         p.add_argument("--max-batches", type=int, default=None)
 
@@ -980,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="pldsopt")
     p.add_argument("--vertices", type=int, default=150,
                    help="power-law workload size (Barabási–Albert)")
-    p.add_argument("--batch-size", type=int, default=None,
+    p.add_argument("--batch-size", type=_positive_int, default=None,
                    help="updates per batch (default: 50)")
     p.add_argument("--trials", type=int, default=8,
                    help="randomized fault plans to run")
@@ -998,43 +891,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "trial")
     p.set_defaults(fn=cmd_chaos)
 
-    p = sub.add_parser(
-        "bench", help="perf-regression suite (writes BENCH_<label>.json)"
-    )
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload size multiplier")
-    p.add_argument("--label", default="local",
-                   help="output file is BENCH_<label>.json")
-    p.add_argument("--output-dir", default=".",
-                   help="directory for the BENCH json (default: cwd)")
-    p.add_argument("--algos", default=None,
-                   help="comma-separated algorithm keys (default: plds,pldsopt,lds)")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated workload keys (default: all six)")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="wall-clock repeats per cell; best is recorded")
-    p.add_argument("--baseline", default=None,
-                   help="previous BENCH json to compare against")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="allowed relative growth before a metric regresses")
-    p.add_argument("--trace", action="store_true",
-                   help="record per-phase attribution on every entry "
-                        "(adds tracing overhead inside the timed region)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="bench the sharded coordinator too (plds-sharded "
-                        "with this many shards is appended to --algos)")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile every cell and write the top-25 "
-                        "cumulative hotspots to PROFILE_<label>.json "
-                        "(adds profiler overhead inside the timed region)")
-    p.set_defaults(fn=cmd_bench)
-
     def add_obs_workload(p):
         p.add_argument("--algorithm", choices=algorithm_keys(dynamic=True),
                        default="pldsopt")
         p.add_argument("--vertices", type=int, default=200,
                        help="power-law workload size (Barabási–Albert)")
-        p.add_argument("--batch-size", type=int, default=None,
+        p.add_argument("--batch-size", type=_positive_int, default=None,
                        help="updates per batch (default: 50)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--delete-fraction", type=float, default=0.5,

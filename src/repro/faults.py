@@ -31,8 +31,8 @@ Zero overhead when disabled
 ---------------------------
 No plan installed means :data:`ACTIVE` is ``None`` and every
 instrumented site reduces to one module-global load plus a branch —
-*per phase*, never per vertex or per edge — so the hot paths guarded by
-the perf-regression harness are unaffected.  The
+*per phase*, never per vertex or per edge — so the hot paths the
+``perf/`` benchmark times are unaffected.  The
 :mod:`repro.parallel.engine` layer stays import-clean (it never imports
 this module): :func:`install` pushes a hook into the engine instead.
 

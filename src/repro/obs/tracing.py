@@ -284,10 +284,10 @@ def phase_totals(roots: list[Span]) -> dict[str, dict[str, float]]:
     """Aggregate *inclusive* cost per span name.
 
     Returns ``{name: {count, work, depth, wall_s}}`` — the per-phase
-    attribution table ``repro trace`` prints and the perf suite attaches
-    to its entries.  Work/depth are inclusive of child spans, so
-    compare like-named phases across runs rather than summing across
-    names (use :func:`self_cost` for an exclusive decomposition).
+    attribution table ``repro trace`` prints.  Work/depth are inclusive
+    of child spans, so compare like-named phases across runs rather than
+    summing across names (use :func:`self_cost` for an exclusive
+    decomposition).
     """
     totals: dict[str, dict[str, float]] = {}
     for span in iter_spans(roots):

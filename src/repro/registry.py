@@ -4,8 +4,7 @@ Every dynamic k-core algorithm in the repository registers here exactly
 once, as an :class:`AlgorithmSpec` pairing an adapter factory with
 capability metadata (exact vs approximate, parallel vs sequential,
 deletion support, metering, snapshot support).  The experiment harness
-(:mod:`repro.bench.harness`), the perf suite
-(:mod:`repro.bench.perfsuite`), the CLI (:mod:`repro.cli`), and the
+(:mod:`repro.bench.harness`), the CLI (:mod:`repro.cli`), and the
 serving layer (:mod:`repro.service`) all resolve algorithms through this
 module — there is no other key→factory table in the package.
 
@@ -16,7 +15,7 @@ can host them next to the plain k-core engines.
 
 Extension: third-party algorithms call :func:`register_algorithm` (and
 applications :func:`register_application`) at import time; every
-consumer — ``repro kcore``/``compare``/``bench``, ``CoreService`` — then
+consumer — ``repro kcore``/``compare``/``service``, ``CoreService`` — then
 accepts the new key with no further wiring.
 
 Example

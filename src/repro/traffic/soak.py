@@ -37,10 +37,10 @@ fixed *simulated* horizon:
   (zero tolerated violations, staleness ≤ 1), extending the chaos
   harness's linearizability argument to sustained load.
 
-The output is a JSON SLO artifact (``SOAK_<label>.json``) in the
-``BENCH_*.json`` style: per-tenant admission accounting (every
-rejection accounted), latency percentiles, read staleness, degraded and
-backpressure time, fault/stall tallies, and the consistency block.  It
+The output is a JSON SLO artifact (``SOAK_<label>.json``): per-tenant
+admission accounting (every rejection accounted), latency percentiles,
+read staleness, degraded and backpressure time, fault/stall tallies,
+and the consistency block.  It
 contains *no wall-clock values*, so rerunning the same config + seed
 reproduces it bit-identically.
 """

@@ -247,48 +247,31 @@ class TestJournalCommand:
         assert "RECOVERED" in out
 
 
-class TestBenchInputValidation:
-    """Bad ``repro bench`` inputs fail before the suite runs, exit 2."""
+class TestBatchSizeValidation:
+    """``--batch-size`` below 1 is a usage error (exit 2) before any work."""
 
     @pytest.fixture(autouse=True)
-    def _suite_must_not_run(self, monkeypatch):
-        from repro.bench import perfsuite
+    def _workloads_must_not_run(self, monkeypatch):
+        import repro.bench.chaos
+        import repro.cli
 
         def boom(*args, **kwargs):
-            raise AssertionError("suite ran despite invalid inputs")
+            raise AssertionError("workload ran despite a bad --batch-size")
 
-        monkeypatch.setattr(perfsuite, "run_suite", boom)
+        monkeypatch.setattr(repro.bench.chaos, "run_chaos", boom)
+        monkeypatch.setattr(repro.cli, "_obs_workload", boom)
+        monkeypatch.setattr(repro.cli, "_load_edges", boom)
 
-    def test_missing_output_dir(self, capsys, tmp_path):
-        missing = tmp_path / "missing"
-        code = main(["bench", "--output-dir", str(missing)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--output-dir not found" in captured.err
-        assert "cli.py:" in captured.err         # file:line of the raise site
-        assert "Traceback" not in captured.err
-
-    def test_baseline_with_unknown_entry_key(self, capsys, tmp_path):
-        import json
-
-        baseline = tmp_path / "BENCH_old.json"
-        entry = {
-            "workload": "grid-mix", "algo": "pldsopt", "wall_s": 0.1,
-            "work": 1, "depth": 1, "space": 1, "retired": {},
-        }
-        baseline.write_text(json.dumps(
-            {"format": 1, "label": "old", "scale": 1.0, "entries": [entry]}
-        ))
-        code = main([
-            "bench", "--baseline", str(baseline),
-            "--output-dir", str(tmp_path),
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown key 'retired'" in captured.err
-        assert str(baseline) in captured.err
-        assert "perfsuite.py:" in captured.err
-        assert "Traceback" not in captured.err
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command", ["kcore", "service", "chaos", "trace", "metrics"]
+    )
+    def test_non_positive_rejected_at_parse_time(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--batch-size", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and "must be >= 1" in err
 
 
 class TestOutputPathValidation:

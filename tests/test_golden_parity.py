@@ -18,6 +18,12 @@ order — a canonical, run-to-run-deterministic tie-break.  On this stream
 that shifted the ``lds`` entry's work/depth from the seed's 3380/6320 to
 3382/6322 while leaving its coreness estimates bit-identical; every PLDS
 entry still matches the seed exactly.
+
+``plds-sharded`` (the scatter-gather :class:`~repro.shard.Coordinator`,
+four shards, registry defaults) pins the sharded engine's metered
+totals on the same stream.  Its coreness equals ``plds-levelwise``; its
+work and depth differ because the shard rounds and ghost exchange are
+charged too.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import pytest
 from repro.core.lds import LDS
 from repro.core.plds import PLDS
 from repro.graphs.streams import Batch
+from repro.shard import Coordinator
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "fixtures", "golden_parity.json"
@@ -85,6 +92,7 @@ def _scenarios() -> dict[str, object]:
         "plds-space": lambda: PLDS(n_hint=_N_HINT, structure="space_efficient"),
         "plds-rebuild": lambda: PLDS(n_hint=32),
         "lds": lambda: LDS(n_hint=_N_HINT),
+        "plds-sharded": lambda: Coordinator(_N_HINT, shards=4),
     }
 
 

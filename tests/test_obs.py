@@ -3,10 +3,10 @@
 Covers the reconciliation invariant (span deltas equal metered totals
 with exact integer equality), the zero-overhead-when-off contract, the
 Prometheus / Chrome-trace export formats, the CLI / harness
-integration points (``repro trace``, ``repro metrics``, ``repro bench
---trace``, ``repro chaos --trace``), and the structure-introspection
-surface those commands report on (PLDS level/group histograms, vertex
-rebuilds, sliding windows, error percentiles).
+integration points (``repro trace``, ``repro metrics``, ``repro chaos
+--trace``), and the structure-introspection surface those commands
+report on (PLDS level/group histograms, vertex rebuilds, sliding
+windows, error percentiles).
 
 Timeline / flight-recorder / SLO-gate tests live in ``test_slo.py``
 (marker ``slo``).
@@ -21,7 +21,6 @@ import pytest
 from repro import faults
 from repro.bench.chaos import chaos_workload, run_chaos
 from repro.bench.metrics import error_percentiles, error_stats
-from repro.bench.perfsuite import BenchReport, PerfEntry, run_suite
 from repro.core.plds import PLDS
 from repro.graphs.generators import barabasi_albert, erdos_renyi
 from repro.graphs.streams import Batch, insertion_batches, sliding_window_batches
@@ -450,52 +449,6 @@ class TestServiceIntegration:
 
 
 class TestHarnessIntegration:
-    def test_run_suite_trace_attaches_phases(self):
-        entries = run_suite(
-            scale=0.02, algos=("plds",), workloads=("powerlaw-ins",), trace=True
-        )
-        (entry,) = entries
-        assert entry.phases is not None
-        assert entry.phases["plds.update"]["work"] <= entry.work
-        assert entry.phases["plds.update"]["work"] > 0
-
-    def test_run_suite_untraced_has_no_phases(self):
-        entries = run_suite(
-            scale=0.02, algos=("plds",), workloads=("powerlaw-ins",)
-        )
-        assert entries[0].phases is None
-
-    def test_bench_report_loads_pre_phases_files(self):
-        data = {
-            "format": 1,
-            "label": "old",
-            "scale": 1.0,
-            "entries": [
-                {
-                    "workload": "powerlaw-ins",
-                    "algo": "plds",
-                    "wall_s": 0.1,
-                    "work": 10,
-                    "depth": 2,
-                    "space": 64,
-                }
-            ],
-        }
-        report = BenchReport.from_json_dict(data)
-        assert report.entries[0].phases is None
-        # And the round-trip (with the new field) still loads.
-        again = BenchReport.from_json_dict(
-            json.loads(json.dumps(report.to_json_dict()))
-        )
-        assert again.entries[0] == PerfEntry(
-            workload="powerlaw-ins",
-            algo="plds",
-            wall_s=0.1,
-            work=10,
-            depth=2,
-            space=64,
-        )
-
     def test_run_chaos_trace_attaches_report_sections(self):
         report = run_chaos(vertices=60, trials=2, seed=1, trace=True)
         assert report.ok
