@@ -95,10 +95,11 @@ class EpochSnapshot(CorenessQueries):
     consistency contract).  Maps passed in as proxies are shared, not
     copied, so a service epoch wrapping its engine's epoch costs no map
     copy of its own.  Engine-level epochs carry just the level
-    image; service-level epochs additionally pin the committed edge set
-    (for :meth:`core_subgraph`), the batch horizon, and the degradation
-    flag, and sharded engines record the per-shard epoch vector that was
-    scatter-gathered at the commit point.
+    image; service-level epochs additionally carry the batch horizon
+    and the degradation flag, and sharded engines record the per-shard
+    epoch vector that was scatter-gathered at the commit point.  Epochs
+    are published without edges; :attr:`repro.service.ServiceReader.view`
+    pins the committed edge set on request, once per epoch.
     """
 
     epoch: int
@@ -110,7 +111,7 @@ class EpochSnapshot(CorenessQueries):
     batches_applied: int = 0
     #: was the service degraded when this epoch was published?
     degraded: bool = False
-    #: committed edge set (service-level; ``None`` for engine epochs).
+    #: committed edge set, pinned on request (``None`` as published).
     edges: frozenset[tuple[int, int]] | None = field(
         default=None, repr=False
     )
@@ -130,22 +131,6 @@ class EpochSnapshot(CorenessQueries):
     def level(self, v: int) -> int:
         """Level of ``v`` as of this epoch (0 for unknown vertices)."""
         return self.levels.get(v, 0)
-
-    def core_subgraph(self, k: int) -> tuple[set[int], list[tuple[int, int]]]:
-        """The exact k-core of the epoch's pinned edge set.
-
-        Only service-level epochs pin their edges; engine-level epochs
-        raise ``ValueError`` (re-deriving a full edge copy per epoch is
-        exactly the cost the copy-on-write store avoids).
-        """
-        if self.edges is None:
-            raise ValueError(
-                "this epoch does not pin an edge set; "
-                "query core_subgraph through a service reader"
-            )
-        from ..static_kcore.subgraphs import k_core_subgraph
-
-        return k_core_subgraph(sorted(self.edges), k)
 
 
 #: What readers see before anything was ever published: the (empty)

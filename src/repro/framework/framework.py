@@ -117,13 +117,4 @@ class FrameworkDriver:
 
     def update_raw(self, updates: Iterable[EdgeUpdate]) -> UpdateResult:
         """Preprocess raw updates (dedupe + validate) and apply them."""
-
-        class _View:
-            def __init__(self, plds: PLDS) -> None:
-                self._plds = plds
-
-            def has_edge(self, u: int, v: int) -> bool:
-                return self._plds.has_edge(u, v)
-
-        batch = preprocess_batch(_View(self.plds), updates)  # type: ignore[arg-type]
-        return self.update(batch)
+        return self.update(preprocess_batch(self.plds, updates))

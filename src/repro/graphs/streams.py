@@ -25,9 +25,9 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Protocol, Sequence
 
-from .dynamic_graph import DynamicGraph, canonical_edge
+from .dynamic_graph import canonical_edge
 
 __all__ = [
     "EdgeUpdate",
@@ -172,8 +172,14 @@ def sliding_window_batches(
     return batches
 
 
+class EdgeLookup(Protocol):
+    """Anything answering edge membership (a graph, an engine, a service)."""
+
+    def has_edge(self, u: int, v: int) -> bool: ...
+
+
 def preprocess_batch(
-    graph: DynamicGraph,
+    graph: EdgeLookup,
     updates: Iterable[EdgeUpdate],
 ) -> Batch:
     """Deduplicate and validate a raw update sequence against ``graph``.
@@ -252,8 +258,9 @@ class JournalRecord:
 
     ``status`` follows write-ahead-log semantics: a batch is journaled as
     ``"pending"`` *before* the engine sees it, then marked
-    ``"committed"`` once the engine and the graph mirror both accepted
-    it, or ``"aborted"`` when every apply attempt failed and the service
+    ``"committed"`` once the engine accepted it (the service then updates
+    its committed edge set and publishes the new epoch), or
+    ``"aborted"`` when every apply attempt failed and the service
     rolled back.  Replaying the committed prefix of a journal
     reconstructs the exact pre-crash batch sequence.
     """

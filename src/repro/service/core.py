@@ -4,9 +4,10 @@ The ROADMAP's north star is serving batched updates and coreness queries
 at production scale (sharding, async reads, caching).  ``CoreService``
 is the seam those PRs extend: one session object that
 
-- owns a :class:`~repro.graphs.dynamic_graph.DynamicGraph` mirror plus a
-  registry-selected engine (any :func:`repro.registry.make_adapter` key,
-  or a Section-8 framework application hosted on the PLDS);
+- owns the committed edge set (the one graph of record, changed only
+  at commit points) plus a registry-selected engine (any
+  :func:`repro.registry.make_adapter` key, or a Section-8 framework
+  application hosted on the PLDS);
 - accepts *raw* update streams — :meth:`CoreService.apply_updates`
   preprocesses them per Section 8 (dedupe by timestamp, validate against
   the current graph) via :func:`repro.graphs.streams.preprocess_batch` —
@@ -19,7 +20,7 @@ is the seam those PRs extend: one session object that
   retries per a :class:`RetryPolicy`;
 - audits engine health per an :class:`AuditPolicy` and, on a failed
   audit, quarantines the engine and **degrades gracefully** — rebuilding
-  from the graph mirror via the registry so queries keep answering
+  from the committed edge set via the registry so queries keep answering
   within the ``(2+ε)`` guarantee (exact static recompute as last
   resort);
 - answers coreness / core-membership / core-subgraph queries against the
@@ -63,7 +64,7 @@ from ..core.invariants import plds_invariant_violations, structure_matches_edges
 from ..core.plds import PLDS
 from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochSnapshot
 from ..faults import InjectedFault
-from ..graphs.dynamic_graph import DynamicGraph, canonical_edge
+from ..graphs import canonical_edge
 from ..graphs.streams import (
     Batch,
     EdgeUpdate,
@@ -127,7 +128,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class AuditPolicy:
-    """When the service audits its engine against the graph mirror.
+    """When the service audits its engine against the committed edges.
 
     - ``"never"``: no auditing (zero overhead);
     - ``"on-recovery"`` (the default): audit only after a batch that
@@ -227,7 +228,10 @@ class ServiceReader:
     rebuild), so a reader never observes a torn mid-apply state, a
     rolled-back attempt, or a half-rebuilt engine: mid-batch and
     mid-rollback reads serve the last committed epoch.  No locks, no
-    waiting on :meth:`CoreService.apply_batch`.
+    waiting on :meth:`CoreService.apply_batch`.  Edge reads
+    (:meth:`core_subgraph`, ``view.edges``) use the service's committed
+    edge set, which changes only immediately before a publication, so
+    they always match the served epoch.
 
     Each answer is a :class:`ReadResult` carrying the value plus the
     consistency metadata the caller needs to reason about freshness:
@@ -243,8 +247,14 @@ class ServiceReader:
 
     @property
     def view(self) -> EpochSnapshot:
-        """The epoch snapshot currently served (itself immutable)."""
-        return self._service._published
+        """The epoch snapshot currently served (itself immutable), with
+        the committed edges frozen in by the first caller of the epoch
+        (O(m)); the service then serves that copy, so later calls are O(1)."""
+        svc = self._service
+        view = svc._published
+        if view.edges is None:
+            view = svc._published = replace(view, edges=frozenset(svc._edges))
+        return view
 
     @property
     def epoch(self) -> int:
@@ -306,7 +316,8 @@ class ServiceReader:
         return self._read("core_members", lambda view: view.core_members(k))
 
     def core_subgraph(self, k: int) -> "ReadResult":
-        return self._read("core_subgraph", lambda view: view.core_subgraph(k))
+        svc = self._service
+        return self._read("core_subgraph", lambda view: svc.core_subgraph(k))
 
     def densest_estimate(self) -> "ReadResult":
         return self._read(
@@ -337,7 +348,13 @@ class ReadResult:
 
 
 class CoreService:
-    """One serving session: registry-selected engine + graph mirror.
+    """One serving session: registry-selected engine + committed edges.
+
+    Every batch is journaled write-ahead; a mid-apply exception rolls
+    the engine back to the committed state (:meth:`_roll_back`).  Under
+    sharding a ``shard.apply`` fault is first retried by the affected
+    shard alone; only what escapes it reaches this service-level
+    rollback, and repeated failure walks the degradation ladder.
 
     Parameters
     ----------
@@ -359,29 +376,6 @@ class CoreService:
         The :class:`RetryPolicy` for failed apply attempts.
     audit:
         The :class:`AuditPolicy` scheduling invariant audits.
-    transactional:
-        When ``True`` (default), every batch is journaled write-ahead
-        and any mid-apply exception rolls the engine back to the last
-        committed state.  Snapshot-capable engines (the PLDS family and
-        the sharded coordinator, shard by shard) are rebuilt
-        bit-identically from the published epoch's levels and the graph
-        mirror's edges, so the happy path takes no O(n + m) restore
-        point; other engines — and hosted applications — replay the
-        untouched mirror (valid, though for path-dependent approximate
-        engines not bit-identical).  The committed state is the
-        engine's pre-batch state whenever the two agree (what
-        :meth:`audit` checks); an out-of-band edit of the engine does
-        not survive a rollback.  ``False`` is fail-fast: exceptions
-        propagate and the engine is left as the failure left it.
-
-        The fault-isolation ladder under sharding, innermost first: a
-        fault injected at ``shard.apply`` rolls back and retries **only
-        the affected shard** inside the coordinator (other shards keep
-        their state); a fault escaping the shard retry budget, or one
-        injected at ``service.apply``, triggers this service-level
-        whole-engine rollback/retry; repeated service-level failure
-        walks the degradation ladder (rebuild-same, then exact static
-        recompute).
     **engine_kwargs:
         Forwarded to :func:`repro.registry.make_adapter` (``delta``,
         ``lam``, ...) or to the application factory.
@@ -398,7 +392,6 @@ class CoreService:
         retry: RetryPolicy | None = None,
         audit: AuditPolicy | None = None,
         admission: AdmissionController | AdmissionPolicy | None = None,
-        transactional: bool = True,
         epoch_start: int = 0,
         **engine_kwargs: Any,
     ) -> None:
@@ -416,15 +409,14 @@ class CoreService:
         #: :meth:`submit` is admitted unconditionally (apply_batch
         #: semantics, plus an ``Admission`` wrapper).
         self.admission = admission
-        self.transactional = transactional
         self._engine_kwargs = dict(engine_kwargs)
         self.telemetry: list[BatchTelemetry] = []
         self.journal = UpdateJournal()
         self.batches_applied = 0
         self._snapshot_counter = 0
-        self._graph = DynamicGraph()
-        #: the mirror's canonical edge set, kept in step with it so a
-        #: commit publishes (and a rollback sorts) it at C speed.
+        #: the committed canonical edge set — the service's only graph
+        #: of record.  It changes only at a commit point, immediately
+        #: before the next epoch is published.
         self._edges: set[tuple[int, int]] = set()
         self._driver = None
         self.application = None
@@ -459,12 +451,8 @@ class CoreService:
     # -- state -----------------------------------------------------------
 
     @property
-    def num_vertices(self) -> int:
-        return self._graph.num_vertices
-
-    @property
     def num_edges(self) -> int:
-        return self._graph.num_edges
+        return len(self._edges)
 
     @property
     def engine(self) -> Any:
@@ -472,7 +460,7 @@ class CoreService:
 
         Observability consumers (``repro metrics``, dashboards) read
         level/group occupancy off this; mutating it bypasses the
-        journal/mirror and is undefined behavior.
+        journal and the committed edge set and is undefined behavior.
         """
         return self._driver.plds if self._driver is not None else self._adapter.impl
 
@@ -485,7 +473,7 @@ class CoreService:
         return self._adapter.space_bytes()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._graph.has_edge(u, v)
+        return canonical_edge(u, v) in self._edges
 
     # -- updates ---------------------------------------------------------
 
@@ -495,7 +483,7 @@ class CoreService:
         Duplicates collapse to the latest timestamp per edge; insertions
         of present edges and deletions of absent edges are dropped.
         """
-        return self.apply_batch(preprocess_batch(self._graph, updates))
+        return self.apply_batch(preprocess_batch(self, updates))
 
     def apply_batch(self, batch: Batch) -> BatchTelemetry:
         """Apply one batch of *unique, valid* updates, transactionally.
@@ -550,7 +538,7 @@ class CoreService:
     ) -> BatchTelemetry:
         mreg = _metrics.ACTIVE
         record = self.journal.begin(batch)
-        restore_point = self._restore_point() if self.transactional else None
+        restore_point = self._restore_point()
         attempts = 0
         rolled_back = False
         t0 = time.perf_counter()
@@ -583,9 +571,6 @@ class CoreService:
                 if attempt_span is not None:
                     # Unwinds any spans the failed cascade left open.
                     tracer.end(attempt_span, error=type(exc).__name__)
-                if not self.transactional:
-                    self.journal.abort(record)
-                    raise
                 self._roll_back(restore_point)
                 rolled_back = True
                 if mreg is not None:
@@ -610,26 +595,24 @@ class CoreService:
                 if backoff:
                     self._tracker().add(work=0, depth=backoff)
         wall = time.perf_counter() - t0
-        # Mirror only after the engine accepted the batch, so a rejected
-        # (invalid) batch leaves service state untouched.
-        graph, edges = self._graph, self._edges
-        for e in batch.insertions:
-            u, v = e
-            graph.insert_edge(u, v)
-            # tuple(e) is e itself for a tuple: the set shares the edge
-            # objects the journal record already holds.
-            edges.add(tuple(e) if u < v else (v, u))
-        for u, v in batch.deletions:
-            graph.delete_edge(u, v)
-            edges.discard(canonical_edge(u, v))
         self.journal.commit(record)
         after = self._adapter.cost
         delta = Cost(after.work - before.work, after.depth - before.depth)
         self.batches_applied += 1
-        # The commit point of the commit-publish protocol: the journal
-        # committed and the mirror reflects the batch, so the new state
-        # becomes readable *now* — before the audit, which may take a
-        # long degradation detour that readers must not wait on.
+        # The commit point of the commit-publish protocol.  The committed
+        # edges change only here, after the engine accepted the batch (a
+        # rejected batch leaves them untouched) and immediately before
+        # publication, so every read sees edges matching its epoch.  The
+        # new state becomes readable *now* — before the audit, which may
+        # take a long degradation detour that readers must not wait on.
+        edges = self._edges
+        for e in batch.insertions:
+            u, v = e
+            # tuple(e) is e itself for a tuple: the set shares the edge
+            # objects the journal record already holds.
+            edges.add(tuple(e) if u < v else (v, u))
+        for u, v in batch.deletions:
+            edges.discard(canonical_edge(u, v))
         published = self._publish_epoch(self._commit_touched(batch))
         degraded = False
         if self.audit_policy.due(self.batches_applied, rolled_back):
@@ -789,9 +772,10 @@ class CoreService:
         re-derived; the sharded coordinator additionally records its
         stable per-shard epoch vector); everything else — including the
         exact static engine the degradation ladder falls back to — is
-        published from a full estimate sweep.  Callers must sit at a
-        commit point: the journal commit, a degradation rebuild's end,
-        or a snapshot restore.
+        published from a full estimate sweep.  No edges are copied (see
+        :attr:`ServiceReader.view`).  Callers must sit at a commit point:
+        the journal commit, a degradation rebuild's end, or a snapshot
+        restore.
         """
         impl = self._driver.plds if self._driver is not None else self._adapter.impl
         publish = getattr(impl, "publish_epoch", None)
@@ -812,7 +796,6 @@ class CoreService:
             shard_epochs=shard_epochs,
             batches_applied=self.batches_applied,
             degraded=self.degraded,
-            edges=frozenset(self._edges),
         )
         self._published = view
         mreg = _metrics.ACTIVE
@@ -845,10 +828,10 @@ class CoreService:
         :meth:`~repro.core.plds.PLDS.snapshot_header` — taken now
         because a Section-5.9 rebuild inside a failed attempt re-sizes
         ``n_hint``.  The rest of the pre-batch state is already held by
-        the service: the graph mirror (updated only after the engine
-        accepts the batch) and the last published epoch's level image
-        (see :meth:`_roll_back`).  ``None`` for everything rebuilt by
-        replaying the mirror.
+        the service: the committed edge set (updated only at the commit
+        point) and the last published epoch's level image (see
+        :meth:`_roll_back`).  ``None`` for everything rebuilt by
+        replaying the committed edges.
         """
         if self._driver is None and self.spec.snapshot:
             return self._adapter.impl.snapshot_header()
@@ -859,10 +842,10 @@ class CoreService:
 
         Snapshot-capable engines are rebuilt bit-identically from a
         snapshot composed of ``restore_point`` (the batch-start header),
-        the published epoch's levels, and the mirror's edges — the
+        the published epoch's levels, and the committed edges — the
         committed state, so an out-of-band edit of the engine does not
-        survive a rollback.  Everything else replays the mirror.  Only
-        a failed attempt pays this O(n + m) work.
+        survive a rollback.  Everything else replays the committed
+        edges.  Only a failed attempt pays this O(n + m) work.
         """
         edges = sorted(self._edges)
         state = None
@@ -875,17 +858,17 @@ class CoreService:
     # -- auditing and graceful degradation -------------------------------
 
     def audit(self) -> list[str]:
-        """Audit the live engine against the graph mirror.
+        """Audit the live engine against the committed edge set.
 
         For the PLDS family (including the sequential LDS) this runs the
         full structural check: Invariants 1–2 and U/L bookkeeping
         (:func:`~repro.core.invariants.plds_invariant_violations`) plus
-        edge-set agreement with the mirror
+        edge-set agreement with the committed edges
         (:func:`~repro.core.invariants.structure_matches_edges`).
         Sharded engines audit shard by shard: each problem the
         coordinator's ``check_invariants`` reports is prefixed with the
         offending shard id, and the per-shard edge unions must agree
-        with the mirror exactly.  Engines without a checkable level
+        with the committed edges exactly.  Engines without a checkable level
         structure audit vacuously.  Returns human-readable violations;
         empty list means healthy.
         """
@@ -902,7 +885,8 @@ class CoreService:
         if hasattr(impl, "check_invariants") and hasattr(impl, "edges"):
             # Sharded coordinator (and any future engine exposing the
             # same audit surface): per-shard invariant sweep plus
-            # edge-set agreement of the shard union with the mirror.
+            # edge-set agreement of the shard union with the committed
+            # edges.
             problems = list(impl.check_invariants())
             problems.extend(
                 structure_matches_edges(impl, self._edges)
@@ -913,13 +897,13 @@ class CoreService:
     def _degrade(self, problems: Sequence[str]) -> None:
         """Quarantine the failed engine and walk the degradation ladder.
 
-        Rung 1 rebuilds the *same* algorithm from the graph mirror via
+        Rung 1 rebuilds the *same* algorithm from the committed edges via
         the registry (:func:`repro.registry.rebuild_adapter`); if the
         rebuild itself fails its audit, rung 2 swaps in the exact
         static-recompute engine (``exactkcore``) — slower, but its
         answers are exact, hence trivially within the ``(2+ε)`` bound.
         Hosted applications degrade by rebuilding driver + application
-        from the mirror; if even that audits dirty, the application is
+        from the committed edges; if even that audits dirty, the application is
         dropped and coreness serving falls through to rung 2.
 
         Readers are never blocked by the ladder: ``degraded`` flips at
@@ -972,10 +956,10 @@ class CoreService:
                 if rec is not None:
                     rec.trip("degrade", rung="rebuild", engine=self.algorithm)
                 return
-        # Last resort: exact static recompute from the mirror.  Dropping
-        # a hosted application here is deliberate — coreness queries keep
-        # answering (exactly) even when the framework layer is beyond
-        # repair.
+        # Last resort: exact static recompute from the committed edges.
+        # Dropping a hosted application here is deliberate — coreness
+        # queries keep answering (exactly) even when the framework layer
+        # is beyond repair.
         self._adapter = rebuild_adapter(_LAST_RESORT, self.n_hint, edges)
         self._driver = None
         self.application = None
@@ -1018,14 +1002,14 @@ class CoreService:
         return {v for v, c in self.coreness_map().items() if c >= k}
 
     def core_subgraph(self, k: int) -> tuple[set[int], list[tuple[int, int]]]:
-        """The *exact* k-core of the current graph (vertices, edges).
+        """The *exact* k-core of the committed graph (vertices, edges).
 
-        Computed by peeling the service's graph mirror — exact regardless
-        of which engine serves the fast approximate queries.
+        Computed by peeling the sorted committed edge set — exact
+        regardless of which engine serves the fast approximate queries.
         """
         from ..static_kcore.subgraphs import k_core_subgraph
 
-        return k_core_subgraph(self._graph.edges(), k)
+        return k_core_subgraph(sorted(self._edges), k)
 
     # -- snapshots -------------------------------------------------------
 
@@ -1080,7 +1064,6 @@ class CoreService:
         if mreg is not None:
             mreg.inc("service.restores", mode="snapshot")
         self._restore_engine(snapshot.edges, snapshot.engine_state)
-        self._graph = DynamicGraph(snapshot.edges)
         self._edges = {canonical_edge(u, v) for u, v in snapshot.edges}
         self.batches_applied = snapshot.batches_applied
         self.telemetry = [
@@ -1101,7 +1084,7 @@ class CoreService:
 
         Shared by :meth:`restore` (rewind to a snapshot) and the
         transactional rollback path (restore to the pre-batch state,
-        whose edge set the not-yet-mirrored graph still holds).  The
+        whose edge set the committed edges still hold).  The
         engine's tracker is carried over on the exact-snapshot path so
         metering stays monotone across rollbacks.
         """
@@ -1180,6 +1163,6 @@ class CoreService:
         )
         flags = ", DEGRADED" if self.degraded else ""
         return (
-            f"CoreService({host}, n={self.num_vertices}, m={self.num_edges}, "
+            f"CoreService({host}, m={self.num_edges}, "
             f"batches={self.batches_applied}{flags})"
         )

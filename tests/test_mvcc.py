@@ -73,11 +73,7 @@ class TestReaderBetweenBatches:
             v = max(r.value, key=r.value.get)
             assert reader.coreness(v).value == svc.coreness(v)
             assert reader.core_members(1.0).value == svc.core_members(1.0)
-            # Edge-list order may differ between the frozen view and the
-            # live mirror; the subgraph is equal as sets.
-            rv, re = reader.core_subgraph(2).value
-            sv, se = svc.core_subgraph(2)
-            assert rv == sv and set(re) == set(se)
+            assert reader.core_subgraph(2).value == svc.core_subgraph(2)
 
     def test_reader_densest_estimate_matches_snapshot(self):
         svc = CoreService("pldsopt", n_hint=128)
@@ -93,10 +89,12 @@ class TestReaderBetweenBatches:
         frozen = dict(view.estimates)
         with pytest.raises(TypeError):
             view.estimates[0] = 99.0  # mappingproxy: no writes
+        edges = set(view.edges)
         for batch in batches[1:]:
             svc.apply_batch(batch)
         # The old epoch still answers exactly as it did when published.
         assert dict(view.estimates) == frozen
+        assert view.edges == edges != svc._edges
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +102,34 @@ class TestReaderBetweenBatches:
 # ---------------------------------------------------------------------------
 
 
+class _EdgeProbePlan(ReadProbePlan):
+    """Also reads the served edges at every faultpoint: the pinned
+    ``view.edges`` and the 1-core, whose edge list is the whole graph."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.edge_reads: list = []
+
+    def hit(self, site: str) -> None:
+        reader = self.reader
+        if reader is not None:
+            view = reader.view
+            sub = reader.core_subgraph(1)
+            self.edge_reads.append((view, sub.epoch, sub.value))
+        super().hit(site)
+
+
 class TestPrefixConsistency:
     @pytest.mark.parametrize("algorithm", ("pldsopt", "plds-sharded"))
     def test_mid_batch_reads_serve_committed_prefix(self, algorithm):
         batches = chaos_workload(60, 25, seed=1)
         refs = _references(batches, algorithm, n_hint=61)
-        plan = ReadProbePlan()  # no armed points: probe every traversal
+        prefix_edges = [set()]
+        for batch in batches:
+            prefix_edges.append(
+                (prefix_edges[-1] | set(batch.insertions)) - set(batch.deletions)
+            )
+        plan = _EdgeProbePlan()  # no armed points: probe every traversal
         svc = CoreService(algorithm, n_hint=61)
         plan.bind(svc)
         with faults.active(plan):
@@ -117,6 +137,13 @@ class TestPrefixConsistency:
                 svc.apply_batch(batch)
         assert plan.probes, "workload traversed no faultpoints"
         assert all(probe_consistent(p, refs) for p in plan.probes)
+        assert len(plan.edge_reads) == len(plan.probes)
+        for view, sub_epoch, (verts, sub_edges) in plan.edge_reads:
+            committed = prefix_edges[view.batches_applied]
+            assert view.edges == committed
+            assert sub_epoch == view.epoch
+            assert set(sub_edges) == committed
+            assert verts == {v for e in committed for v in e}
         # Mid-apply reads trail the head by exactly the in-flight batch.
         assert {p.staleness for p in plan.probes} == {1}
         epochs = [p.epoch for p in plan.probes]
@@ -278,7 +305,7 @@ def _engine_levels(svc: CoreService) -> dict[int, int]:
 def _assert_epoch_is_committed_state(svc: CoreService, live: set) -> None:
     view = svc.reader().view
     assert dict(view.levels) == _engine_levels(svc)
-    assert view.edges == live == set(svc._graph.edges())
+    assert view.edges == live == svc._edges
 
 
 @pytest.mark.parametrize("algorithm", ASYNC_READ_ALGOS)

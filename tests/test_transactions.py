@@ -257,17 +257,6 @@ def test_nonretryable_error_aborts_without_retry():
     assert len(svc.telemetry) == 1  # no telemetry row for the aborted batch
 
 
-def test_non_transactional_mode_fails_fast():
-    svc = CoreService(
-        "plds", n_hint=64, transactional=False, retry=RetryPolicy(max_attempts=3)
-    )
-    plan = FaultPlan([FaultPoint("service.apply", 1)])
-    with faults.active(plan):
-        with pytest.raises(InjectedFault):
-            svc.apply_batch(Batch(insertions=[(0, 1)]))
-    assert svc.journal.records[-1].status == "aborted"
-
-
 def test_backoff_is_metered_as_depth_not_slept():
     policy = RetryPolicy(max_attempts=4, backoff_depth=8)
     assert [policy.backoff_for(k) for k in (1, 2, 3)] == [8, 16, 32]
@@ -383,7 +372,7 @@ def test_failed_audit_degrades_and_keeps_answering():
     assert len(svc.audit_failures) == 1
     # The rebuilt engine is healthy and answers within the (2+eps) bound.
     assert svc.audit() == []
-    exact = exact_coreness(sorted(svc._graph.edges()))
+    exact = exact_coreness(sorted(svc._edges))
     factor = (2 + 3 / 3.0) * (1 + 0.4)  # (2 + 3/lam)(1 + delta), defaults
     for v, k in exact.items():
         if k > 0:
@@ -409,7 +398,7 @@ def test_degradation_last_resort_is_exact_static(monkeypatch):
     assert svc.degraded_to == "exactkcore"
     assert svc.algorithm == "exactkcore"
     # Last-resort answers are exact.
-    exact = exact_coreness(sorted(svc._graph.edges()))
+    exact = exact_coreness(sorted(svc._edges))
     assert all(svc.coreness(v) == float(k) for v, k in exact.items())
     # And the degraded service keeps serving subsequent batches.
     svc.apply_batch(Batch(insertions=EDGES[90:100]))
