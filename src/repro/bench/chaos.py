@@ -54,8 +54,9 @@ class ReadProbe:
     """One wait-free read taken *at a faultpoint* of a chaos run.
 
     ``estimates`` is the published epoch's (immutable) coreness mapping —
-    held by reference, which is exactly what the copy-on-write publication
-    protocol makes safe: a published epoch is never mutated again.
+    held by reference, which is exactly what the path-copying publication
+    protocol makes safe: a published epoch, and every chunk it shares
+    with later epochs, is never mutated again.
     """
 
     site: str

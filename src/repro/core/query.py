@@ -16,12 +16,14 @@ On top of the shared surface sits the **epoch store** (the
 asynchronous-reads model of Liu–Shun–Zablotchi, PAPERS.md): an engine
 *publishes* an immutable :class:`EpochSnapshot` of its level image at
 each commit point, and readers query the snapshot — wait-free, never
-observing a torn mid-batch state.  Publication is copy-on-write: the
-previous epoch's maps are copied (a C-speed ``dict.copy``) and only the
-``touched`` vertices re-derived, so a commit pays O(n_prev + |touched|)
-map work instead of a full O(n) estimate rebuild.  Publication is
-opt-in — engines driven directly (the bench hot path) never publish and
-pay nothing.
+observing a torn mid-batch state.  Each image is an :class:`EpochImage`:
+values stored in chunks of ``CHUNK_WIDTH`` consecutive vertex ids, so
+publication is *path copying* — the next epoch copies the outer chunk
+table (n / ``CHUNK_WIDTH`` references), copies each chunk holding a
+``touched`` vertex whose entry changed, once, and shares every other
+chunk with the previous epoch.  A commit pays O(n / W + W·|touched|)
+reference copies and no full-map copy.  Publication is opt-in — engines
+driven directly (the bench hot path) never publish and pay nothing.
 
 Two pieces of bookkeeping make incremental publication safe:
 
@@ -41,11 +43,147 @@ rebuild.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, TypeVar, cast
 
-__all__ = ["CorenessQueries", "EpochSnapshot", "QueryView"]
+__all__ = [
+    "CHUNK_WIDTH",
+    "CorenessQueries",
+    "EpochImage",
+    "EpochSnapshot",
+    "QueryView",
+]
+
+_V = TypeVar("_V")
+
+#: ``log2`` of the chunk width.  Sized by measurement: narrower chunks
+#: make a commit cheaper (fewer entries copied per changed chunk) and
+#: full-image walks (``core_members``) dearer; 256 ids keeps the walk
+#: within ~5% of a flat dict (``docs/cost_model.md``).
+_SHIFT = 8
+#: Consecutive vertex ids per :class:`EpochImage` chunk.
+CHUNK_WIDTH = 1 << _SHIFT
+
+_MISSING = object()
+
+
+class EpochImage(Mapping[int, _V]):
+    """Immutable ``int``-keyed mapping stored as chunks of consecutive ids.
+
+    Chunk ``c`` holds the entries of ids ``c * CHUNK_WIDTH`` up to
+    ``(c + 1) * CHUNK_WIDTH - 1``; the outer table is a dict, so sparse
+    and very large ids cost only the chunks they occupy.  An image is
+    never mutated once built: :meth:`evolve` path-copies, returning a
+    new image that shares every chunk it did not change with this one.
+    Supports the read-only ``Mapping`` protocol (``[]``, ``get``, ``in``,
+    ``len``, ``items()``, ``dict(image)``, ``==``); item assignment
+    raises ``TypeError``.
+    """
+
+    __slots__ = ("_chunks", "_len")
+
+    def __init__(self, source: Mapping[int, _V] | None = None) -> None:
+        chunks: dict[int, dict[int, _V]] = {}
+        for v, x in source.items() if source is not None else ():
+            c = v >> _SHIFT
+            chunk = chunks.get(c)
+            if chunk is None:
+                chunk = chunks[c] = {}
+            chunk[v] = x
+        self._chunks = chunks
+        self._len = sum(map(len, chunks.values()))
+
+    @classmethod
+    def _wrap(
+        cls, chunks: dict[int, dict[int, _V]], size: int
+    ) -> "EpochImage[_V]":
+        """Adopt a chunk table nobody else mutates (no copy)."""
+        image = cls.__new__(cls)
+        image._chunks = chunks
+        image._len = size
+        return image
+
+    def evolve(self, changes: Iterable[tuple[int, "_V | None"]]) -> "EpochImage[_V]":
+        """A new image with ``changes`` applied; ``self`` is unchanged.
+
+        Each change is ``(id, value)``; a ``None`` value removes the id
+        (images never store ``None``).  Later changes to the same id
+        win.  Only the outer table and the chunks whose entries really
+        change are copied — once each — so the work is O(n / W) plus
+        O(W) per changed chunk; with no effective change ``self`` is
+        returned as is.
+        """
+        chunks = self._chunks
+        fresh: dict[int, dict[int, _V]] | None = None
+        size = self._len
+        for v, x in changes:
+            c = v >> _SHIFT
+            chunk = chunks.get(c)
+            cur = _MISSING if chunk is None else chunk.get(v, _MISSING)
+            if x is None:
+                if cur is _MISSING:
+                    continue
+            elif cur is not _MISSING and cur == x:
+                continue
+            if fresh is None:
+                chunks = dict(chunks)
+                fresh = {}
+            if c not in fresh:
+                chunk = fresh[c] = chunks[c] = {} if chunk is None else chunk.copy()
+            if x is None:
+                del chunk[v]
+                size -= 1
+            else:
+                if cur is _MISSING:
+                    size += 1
+                chunk[v] = x
+        if fresh is None:
+            return self
+        for c, chunk in fresh.items():
+            if not chunk:
+                del chunks[c]
+        return self._wrap(chunks, size)
+
+    def __getitem__(self, v: int) -> _V:
+        return self._chunks[v >> _SHIFT][v]
+
+    def get(self, v: int, default=None):
+        chunk = self._chunks.get(v >> _SHIFT)
+        return default if chunk is None else chunk.get(v, default)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self._chunks.values())
+
+    def items(self) -> ItemsView[int, _V]:
+        return _ImageItems(self)
+
+    def values(self) -> ValuesView[_V]:
+        return _ImageValues(self)
+
+
+# Chunk-wise views: the generic Mapping views would fetch every key
+# through __getitem__.
+
+
+class _ImageItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        chunks = cast(EpochImage, self._mapping)._chunks
+        return chain.from_iterable(map(dict.items, chunks.values()))
+
+
+class _ImageValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        chunks = cast(EpochImage, self._mapping)._chunks
+        return chain.from_iterable(map(dict.values, chunks.values()))
 
 
 class CorenessQueries:
@@ -90,11 +228,12 @@ class CorenessQueries:
 class EpochSnapshot(CorenessQueries):
     """One immutable published read epoch.
 
-    ``estimates`` and ``levels`` are exposed through read-only mapping
-    proxies — an epoch, once published, never changes (that is the whole
-    consistency contract).  Maps passed in as proxies are shared, not
-    copied, so a service epoch wrapping its engine's epoch costs no map
-    copy of its own.  Engine-level epochs carry just the level
+    ``estimates`` and ``levels`` are immutable :class:`EpochImage` maps —
+    an epoch, once published, never changes (that is the whole
+    consistency contract).  Images passed in are shared, not copied, so
+    a service epoch wrapping its engine's epoch costs no map copy of its
+    own, and consecutive epochs share every chunk the commit between
+    them left alone.  Engine-level epochs carry just the level
     image; service-level epochs additionally carry the batch horizon
     and the degradation flag, and sharded engines record the per-shard
     epoch vector that was scatter-gathered at the commit point.  Epochs
@@ -103,8 +242,8 @@ class EpochSnapshot(CorenessQueries):
     """
 
     epoch: int
-    estimates: Mapping[int, float] = field(repr=False)
-    levels: Mapping[int, int] = field(repr=False)
+    estimates: EpochImage[float] = field(repr=False)
+    levels: EpochImage[int] = field(repr=False)
     #: stable per-shard epoch vector (sharded engines only).
     shard_epochs: tuple[int, ...] | None = None
     #: committed batches reflected by this epoch (service-level).
@@ -117,16 +256,29 @@ class EpochSnapshot(CorenessQueries):
     )
 
     def __post_init__(self) -> None:
-        # A mapping proxy is taken as the hand-over of a private map
-        # nobody mutates again (a fresh copy-on-write map, or another
-        # epoch's map) and shared as is; anything else is copied once.
+        # An image is immutable and shared as is; any other mapping
+        # (the full-sweep fallback, the empty epoch) is imaged once.
         for name in ("estimates", "levels"):
             value = getattr(self, name)
-            if type(value) is not MappingProxyType:
-                object.__setattr__(self, name, MappingProxyType(dict(value)))
+            if type(value) is not EpochImage:
+                object.__setattr__(self, name, EpochImage(value))
 
     def _estimates_view(self) -> Mapping[int, float]:
         return self.estimates
+
+    def coreness(self, v: int) -> float:
+        # Inlined EpochImage.get: this is the point-read hot path.
+        chunk = self.estimates._chunks.get(v >> _SHIFT)
+        return 0.0 if chunk is None else float(chunk.get(v, 0.0))
+
+    def coreness_map(self) -> dict[int, float]:
+        # dict(image) would fetch every key through __getitem__.
+        return dict(self.estimates.items())
+
+    def core_members(self, k: float) -> set[int]:
+        # Walk the chunks directly: as fast as a flat dict scan.
+        chunks = self.estimates._chunks.values()
+        return {v for chunk in chunks for v, c in chunk.items() if c >= k}
 
     def level(self, v: int) -> int:
         """Level of ``v`` as of this epoch (0 for unknown vertices)."""
@@ -135,12 +287,14 @@ class EpochSnapshot(CorenessQueries):
 
 #: What readers see before anything was ever published: the (empty)
 #: construction-time state, which is trivially prefix-consistent.
-EMPTY_EPOCH = EpochSnapshot(epoch=0, estimates={}, levels={})
+EMPTY_EPOCH = EpochSnapshot(
+    epoch=0, estimates=EpochImage(), levels=EpochImage()
+)
 
 
 class QueryView(CorenessQueries):
     """Mixin giving a level-structure engine the shared query surface
-    plus copy-on-write epoch publication.
+    plus path-copied epoch publication.
 
     Hosts provide :meth:`_level_items` / :meth:`_level_deg_of` and the
     estimate parameters ``levels_per_group`` / ``_group_pow``; the
@@ -210,7 +364,8 @@ class QueryView(CorenessQueries):
 
         ``touched`` names the vertices whose entries may differ from the
         previous epoch (batch endpoints plus :attr:`last_moved`); their
-        entries are re-derived on a copy of the previous epoch's maps.
+        entries are re-derived and path-copied into the previous epoch's
+        images (:meth:`EpochImage.evolve`), every other chunk shared.
         ``touched=None`` — or a pending :attr:`_levels_reshaped` flag —
         publishes from scratch.  Call this only at commit points: a
         snapshot taken mid-apply would capture exactly the torn state
@@ -220,32 +375,52 @@ class QueryView(CorenessQueries):
             touched = None
             self._levels_reshaped = False
         prev = self._published
-        if prev is None or touched is None:
-            estimates = self.coreness_estimates()
-            levels = {v: lvl for v, lvl, _ in self._level_items()}
+        lpg = self.levels_per_group
+        pow_table = self._group_pow
+        # An empty previous image (the initial bulk load) gains nothing
+        # from path copying: build it in the faster single pass.
+        if prev is None or touched is None or not prev.levels:
+            est_chunks: dict[int, dict[int, float]] = {}
+            lvl_chunks: dict[int, dict[int, int]] = {}
+            for v, lvl, deg in self._level_items():
+                c = v >> _SHIFT
+                lc = lvl_chunks.get(c)
+                if lc is None:
+                    lc = lvl_chunks[c] = {}
+                    ec = est_chunks[c] = {}
+                else:
+                    ec = est_chunks[c]
+                ec[v] = (
+                    0.0
+                    if deg == 0
+                    else pow_table[max((lvl + 1) // lpg - 1, 0)]
+                )
+                lc[v] = lvl
+            size = sum(map(len, lvl_chunks.values()))
+            estimates = EpochImage._wrap(est_chunks, size)
+            levels = EpochImage._wrap(lvl_chunks, size)
         else:
-            estimates = prev.estimates.copy()
-            levels = prev.levels.copy()
-            lpg = self.levels_per_group
-            pow_table = self._group_pow
+            est_changes: list[tuple[int, float | None]] = []
+            lvl_changes: list[tuple[int, int | None]] = []
             for v in touched:
                 pair = self._level_deg_of(v)
                 if pair is None:
-                    estimates.pop(v, None)
-                    levels.pop(v, None)
+                    est_changes.append((v, None))
+                    lvl_changes.append((v, None))
                 else:
                     lvl, deg = pair
-                    estimates[v] = (
+                    est = (
                         0.0
                         if deg == 0
                         else pow_table[max((lvl + 1) // lpg - 1, 0)]
                     )
-                    levels[v] = lvl
+                    est_changes.append((v, est))
+                    lvl_changes.append((v, lvl))
+            estimates = prev.estimates.evolve(est_changes)
+            levels = prev.levels.evolve(lvl_changes)
         self._epoch_serial += 1
         snap = EpochSnapshot(
-            epoch=self._epoch_serial,
-            estimates=MappingProxyType(estimates),
-            levels=MappingProxyType(levels),
+            epoch=self._epoch_serial, estimates=estimates, levels=levels
         )
         self._published = snap
         return snap

@@ -221,7 +221,7 @@ class AlgorithmSpec:
         count itself is a construction parameter (``make_adapter``'s
         ``shards``); inspect ``adapter.impl.num_shards`` at runtime.
     async_reads:
-        Whether the engine exposes the copy-on-write epoch surface
+        Whether the engine exposes the path-copied epoch surface
         (:class:`~repro.core.query.QueryView` — ``publish_epoch`` /
         ``read_view`` / ``last_moved``), letting
         :class:`~repro.service.CoreService` publish incremental read

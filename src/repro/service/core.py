@@ -62,7 +62,7 @@ from ..obs import timeline as _timeline
 from ..obs import tracing as _tracing
 from ..core.invariants import plds_invariant_violations, structure_matches_edges
 from ..core.plds import PLDS
-from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochSnapshot
+from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochImage, EpochSnapshot
 from ..faults import InjectedFault
 from ..graphs import canonical_edge
 from ..graphs.streams import (
@@ -768,9 +768,10 @@ class CoreService:
         """Publish the current committed state as the next read epoch.
 
         Engines exposing the :class:`~repro.core.query.QueryView`
-        surface publish copy-on-write (only ``touched`` entries are
-        re-derived; the sharded coordinator additionally records its
-        stable per-shard epoch vector); everything else — including the
+        surface publish by path copying (only the chunks of ``touched``
+        entries are copied and re-derived; the sharded coordinator
+        additionally records its stable per-shard epoch vector);
+        everything else — including the
         exact static engine the degradation ladder falls back to — is
         published from a full estimate sweep.  No edges are copied (see
         :attr:`ServiceReader.view`).  Callers must sit at a commit point:
@@ -782,12 +783,12 @@ class CoreService:
         shard_epochs = None
         if publish is not None:
             snap = publish(touched)
-            estimates: Mapping[int, float] = snap.estimates
-            levels: Mapping[int, int] = snap.levels
+            estimates = snap.estimates
+            levels = snap.levels
             shard_epochs = snap.shard_epochs
         else:
-            estimates = self._adapter.estimates()
-            levels = {}
+            estimates = EpochImage(self._adapter.estimates())
+            levels = EpochImage()
         self.read_epoch += 1
         view = EpochSnapshot(
             epoch=self.read_epoch,

@@ -36,7 +36,7 @@ single level structure).
 
 from __future__ import annotations
 
-from types import MappingProxyType
+from dataclasses import replace
 from typing import Iterable, Mapping
 
 from .. import faults as _faults
@@ -121,7 +121,6 @@ class Coordinator:
         self._route_depth = log2_ceil(max(2, shards)) + 1
         #: epoch store (see :meth:`publish_epoch`).
         self._published: EpochSnapshot | None = None
-        self._epoch_serial = 0
         #: vertices moved by the last update(); ``None`` = publish fully.
         self.last_moved: set[int] | None = None
         self._levels_reshaped = False
@@ -431,67 +430,36 @@ class Coordinator:
     ) -> EpochSnapshot:
         """Publish a coordinator epoch over a *stable* per-shard vector.
 
-        Call only at a quiescent commit point (between batches): every
-        kernel publishes its local epoch first, then the coordinator
-        merges them under one serial, so the recorded ``shard_epochs``
-        vector is exactly the set of shard states the merged image was
-        gathered from — an immutable consistent cut, not a racy
-        read-one-shard-at-a-time sample.
+        Call only at a quiescent commit point (between batches).  The
+        engine's own :meth:`~repro.core.query.QueryView.publish_epoch`
+        path-copies one image gathered over the owner kernels (only
+        chunks holding a ``touched`` vertex — batch endpoints plus
+        :attr:`last_moved` — are copied), and every kernel's epoch
+        serial advances with it, so the recorded ``shard_epochs`` vector
+        names exactly the shard states the image was read from.  A
+        reshape anywhere — the engine-coordinated rebuild (which
+        recreates every kernel and restarts its serial), or a
+        kernel-level vertex insert/delete — forces a full publish.
 
-        Copy-on-write: with ``touched`` given (batch endpoints plus
-        :attr:`last_moved`), the previous coordinator image is copied
-        and only the touched vertices re-read from their owner kernels'
-        fresh epochs; after an engine-coordinated rebuild (which resets
-        every kernel) the image is republished from scratch.
+        Shard-local rollback leaves the published epoch alone: readers
+        keep the last epoch published here, never a half-applied state.
         """
         engine = self.engine
         kernels = engine.kernels
-        if self._levels_reshaped or engine._levels_reshaped:
+        if self._levels_reshaped or any(k._levels_reshaped for k in kernels):
             touched = None
             self._levels_reshaped = False
-            engine._levels_reshaped = False
-        owner = engine.partitioner.owner
-        if touched is None:
-            per_shard: list[set[int]] | None = None
-        else:
-            per_shard = [set() for _ in kernels]
-            for v in touched:
-                per_shard[owner(v)].add(v)
-        snaps = [
-            k.publish_epoch(None if per_shard is None else per_shard[s])
-            for s, k in enumerate(kernels)
-        ]
-        prev = self._published
-        if prev is None or per_shard is None:
-            estimates: dict[int, float] = {}
-            levels: dict[int, int] = {}
-            for snap in snaps:
-                estimates.update(snap.estimates)
-                levels.update(snap.levels)
-        else:
-            estimates = prev.estimates.copy()
-            levels = prev.levels.copy()
-            for s, snap in enumerate(snaps):
-                for v in per_shard[s]:
-                    est = snap.estimates.get(v)
-                    if est is None:
-                        estimates.pop(v, None)
-                        levels.pop(v, None)
-                    else:
-                        estimates[v] = est
-                        levels[v] = snap.levels[v]
-        self._epoch_serial += 1
-        view = EpochSnapshot(
-            epoch=self._epoch_serial,
-            estimates=MappingProxyType(estimates),
-            levels=MappingProxyType(levels),
-            shard_epochs=tuple(s.epoch for s in snaps),
-        )
-        self._published = view
+            for k in kernels:
+                k._levels_reshaped = False
+        snap = engine.publish_epoch(touched)
+        for k in kernels:
+            k._epoch_serial += 1
+        serials = tuple(k._epoch_serial for k in kernels)
+        view = self._published = replace(snap, shard_epochs=serials)
         mreg = _metrics.ACTIVE
         if mreg is not None:
-            for s, snap in enumerate(snaps):
-                mreg.gauge("shard.read_epoch", snap.epoch, shard=str(s))
+            for s, serial in enumerate(serials):
+                mreg.gauge("shard.read_epoch", serial, shard=str(s))
         return view
 
     def read_view(self) -> EpochSnapshot:
@@ -501,7 +469,7 @@ class Coordinator:
 
     @property
     def read_epoch(self) -> int:
-        return self._epoch_serial
+        return self.engine.read_epoch
 
     # -- snapshots ------------------------------------------------------
 

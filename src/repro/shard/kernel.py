@@ -499,30 +499,6 @@ class ShardKernel(PLDS):
         self._affected = set()
 
     # ------------------------------------------------------------------
-    # Per-shard read epochs
-    # ------------------------------------------------------------------
-
-    def publish_epoch(self, touched=None):
-        """Publish this shard's local level image as a read epoch.
-
-        The inherited QueryView hooks iterate ``_vertices`` only, so a
-        shard epoch covers exactly the shard's *owned* vertices — ghost
-        mirrors carry no estimates of their own.  Any remote ids in
-        ``touched`` are filtered out up front: a ghost's level change is
-        the owner shard's move, and republishing it here would only pay
-        useless pop/no-op work on every ghost-churn round.
-
-        Shard-local rollback (:meth:`restore_state`) deliberately leaves
-        the published epoch alone: readers keep seeing the last epoch
-        the coordinator published at a quiescent commit point, never the
-        half-applied state the rollback is erasing.
-        """
-        if touched is not None:
-            owns = self.owns
-            touched = [v for v in touched if owns(v)]
-        return super().publish_epoch(touched)
-
-    # ------------------------------------------------------------------
     # Overrides: ghost-aware queries, engine-owned rebuild
     # ------------------------------------------------------------------
 

@@ -88,7 +88,7 @@ class TestReaderBetweenBatches:
         view = svc.reader().view
         frozen = dict(view.estimates)
         with pytest.raises(TypeError):
-            view.estimates[0] = 99.0  # mappingproxy: no writes
+            view.estimates[0] = 99.0  # epoch image: no writes
         edges = set(view.edges)
         for batch in batches[1:]:
             svc.apply_batch(batch)
