@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..graphs.streams import Batch
 from ..obs import metrics as _metrics
-from .plds import PLDS, UpdateResult
+from .plds import PLDS
 
 __all__ = ["LDS"]
 
@@ -34,34 +34,22 @@ class LDS(PLDS):
 
     _SPAN_NAME = "lds.update"
 
-    def _apply_batch(self, batch: Batch) -> UpdateResult:
-        self._validate_batch(batch)
-        result = UpdateResult()
-        self._touched = set()
-
-        if self.track_orientation:
-            for e in batch.deletions:
-                d = self._orient.get(e)
-                if d is None:
-                    d = self.orientation_of(*e)
-                result.oriented_deletions.append(d)
-                self._orient.pop(e, None)
-
+    def _rebalance(self, batch: Batch) -> set[int]:
+        # The batch is validated: link and unlink without a re-check.
         moved: set[int] = set()
+        vertices = self._vertices
+        tracker = self.tracker
         for u, v in batch.insertions:
-            self._insert_edge_struct(u, v)
-            self.tracker.add(work=2, depth=2)
+            self._link_records(self._record(u), self._record(v))
+            self._m += 1
+            tracker.add(work=2, depth=2)
             self._fix_insertion_cascade({u, v}, moved)
         for u, v in batch.deletions:
-            self._delete_edge_struct(u, v)
-            self.tracker.add(work=2, depth=2)
+            self._unlink_records(vertices[u], vertices[v])
+            self._m -= 1
+            tracker.add(work=2, depth=2)
             self._fix_deletion_cascade({u, v}, moved)
-        result.moved_vertices = moved
-
-        if self.track_orientation:
-            self._finish_orientation(batch, result)
-        self._maybe_rebuild()
-        return result
+        return moved
 
     # -- cascades (sequential: depth is charged equal to work) ----------
 

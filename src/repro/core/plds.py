@@ -41,7 +41,7 @@ True
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -61,22 +61,33 @@ __all__ = ["PLDS", "UpdateResult", "DirectedEdge"]
 DirectedEdge = tuple[int, int]
 
 
-def _mark(buckets: dict[int, list[int]], level: int, v: int) -> None:
-    """Insert ``v`` into the sorted-unique cascade bucket for ``level``.
+def _merge_marks(
+    buckets: dict[int, list[int]], marks: defaultdict[int, list[int]]
+) -> None:
+    """Merge buffered cascade marks into the sorted-unique buckets.
 
     The rebalancing cascades keep every dirty/pending bucket as a sorted
     list of vertex ids, so the mover lists handed to ``flat_parfor`` are
-    already in canonical order — no per-round re-sort (the buckets used
-    to be sets of records hashing by address, forcing each round to sort
-    its movers from scratch).
+    already in canonical order without a per-round re-sort.  Marks are
+    buffered per level while a round runs (nothing reads the buckets
+    until the round ends) and merged here with one sort per touched
+    level, instead of a bisect-insert (an O(bucket) list shift) per
+    mark.  ``marks`` is drained.
     """
-    bucket = buckets.get(level)
-    if bucket is None:
-        buckets[level] = [v]
-        return
-    i = bisect_left(bucket, v)
-    if i == len(bucket) or bucket[i] != v:
-        bucket.insert(i, v)
+    for level, ids in marks.items():
+        bucket = buckets.get(level)
+        if bucket is not None:
+            ids.extend(bucket)
+        buckets[level] = sorted(set(ids))
+    marks.clear()
+
+
+def _linked(ru: "_VertexRecord", rv: "_VertexRecord") -> bool:
+    """Whether the edge (ru, rv) is stored: look where the level rule
+    places ``rv`` among ``ru``'s neighbors."""
+    if rv.level >= ru.level:
+        return rv in ru.up
+    return rv in ru.down.get(rv.level, ())
 
 
 def _is_sorted_unique(items: list[int]) -> bool:
@@ -352,11 +363,7 @@ class PLDS(QueryView):
     def has_edge(self, u: int, v: int) -> bool:
         ru = self._vertices.get(u)
         rv = self._vertices.get(v)
-        if ru is None or rv is None:
-            return False
-        if rv.level >= ru.level:
-            return rv in ru.up
-        return rv in ru.down.get(rv.level, ())
+        return ru is not None and rv is not None and _linked(ru, rv)
 
     @property
     def num_edges(self) -> int:
@@ -535,31 +542,42 @@ class PLDS(QueryView):
         return result
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
-        self._validate_batch(batch)
+        inserted, deleted = self._validate_batch(batch)
         result = UpdateResult()
         self._touched = set()
+        track = self.track_orientation
+        if track:
+            # Pre-batch orientations of deleted edges (Algorithm 5:
+            # deletions report the orientation *before* the batch).
+            orient = self._orient
+            for e in deleted:
+                d = orient.pop(e, None)
+                result.oriented_deletions.append(
+                    d if d is not None else self.orientation_of(*e)
+                )
+        else:
+            # Only orientation upkeep reads the canonical keys; free them
+            # before the cascades allocate (the initial bulk load is one
+            # batch of every edge).
+            inserted.clear()
+            deleted.clear()
 
-        # Pre-batch orientations of deleted edges (Algorithm 5: deletions
-        # report the orientation *before* the batch).
-        if self.track_orientation:
-            for e in batch.deletions:
-                d = self._orient.get(e)
-                if d is None:
-                    d = self.orientation_of(*e)
-                result.oriented_deletions.append(d)
-                self._orient.pop(e, None)
+        result.moved_vertices = self._rebalance(batch)
+        if track:
+            self._finish_orientation(inserted, result)
+        self._maybe_rebuild()
+        return result
 
+    def _rebalance(self, batch: Batch) -> set[int]:
+        """Apply a validated batch to the structure; return the moved
+        vertices.  Insertions first (Algorithm 2), then deletions
+        (Algorithm 3)."""
         moved: set[int] = set()
         if batch.insertions:
             self._rebalance_insertions(batch.insertions, moved)
         if batch.deletions:
             self._rebalance_deletions(batch.deletions, moved)
-        result.moved_vertices = moved
-
-        if self.track_orientation:
-            self._finish_orientation(batch, result)
-        self._maybe_rebuild()
-        return result
+        return moved
 
     def insert_edges(self, edges: Iterable[tuple[int, int]]) -> UpdateResult:
         """Convenience wrapper: one insertion-only batch."""
@@ -569,29 +587,44 @@ class PLDS(QueryView):
         """Convenience wrapper: one deletion-only batch."""
         return self.update(Batch(deletions=[canonical_edge(*e) for e in edges]))
 
-    def _validate_batch(self, batch: Batch) -> None:
-        """Check the Section-8 batch assumptions before mutating anything."""
+    def _validate_batch(
+        self, batch: Batch
+    ) -> tuple[set[tuple[int, int]], dict[tuple[int, int], None]]:
+        """Check the Section-8 batch assumptions before mutating anything.
+
+        The batch's only edge lookup: the structure edits that follow
+        link and unlink without re-checking.  Returns the canonical
+        insertions (a set) and deletions (a dict, kept in batch order for
+        the pre-batch orientation report).
+        """
         self.tracker.add(work=max(1, len(batch)), depth=5)
-        ins = set()
+        get = self._vertices.get
+        ins: set[tuple[int, int]] = set()
         for u, v in batch.insertions:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) in batch")
-            e = canonical_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in ins:
                 raise ValueError(f"duplicate insertion {e} in batch")
-            if self.has_edge(*e):
-                raise ValueError(f"insertion of existing edge {e}")
+            ru = get(u)
+            if ru is not None:
+                rv = get(v)
+                if rv is not None and _linked(ru, rv):
+                    raise ValueError(f"insertion of existing edge {e}")
             ins.add(e)
-        dels = set()
+        dels: dict[tuple[int, int], None] = {}
         for u, v in batch.deletions:
-            e = canonical_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in dels:
                 raise ValueError(f"duplicate deletion {e} in batch")
             if e in ins:
                 raise ValueError(f"edge {e} both inserted and deleted in batch")
-            if not self.has_edge(*e):
+            ru = get(u)
+            rv = get(v)
+            if ru is None or rv is None or not _linked(ru, rv):
                 raise ValueError(f"deletion of missing edge {e}")
-            dels.add(e)
+            dels[e] = None
+        return ins, dels
 
     # ------------------------------------------------------------------
     # Algorithm 2: RebalanceInsertions
@@ -602,14 +635,23 @@ class PLDS(QueryView):
     ) -> None:
         tracker = self.tracker
         vertices = self._vertices
-        # Insert all edges into the structures (parallel hash inserts).
-        # Dirty buckets are sorted-unique id lists (see :func:`_mark`), so
-        # each round's movers come out in canonical order for free.
+        # Link all edges into the structures (parallel hash inserts).  The
+        # batch is validated, so nothing is looked up again here.  Dirty
+        # buckets are sorted-unique id lists (see :func:`_merge_marks`),
+        # so each round's movers come out in canonical order for free.
         dirty: dict[int, list[int]] = {}
+        marks: defaultdict[int, list[int]] = defaultdict(list)
         tracker.add(work=2 * len(insertions), depth=self._mut_depth)
+        record = self._record
+        link = self._link_records
         for u, v in insertions:
-            for r in self._insert_edge_struct(u, v):
-                _mark(dirty, r.level, r.id)
+            ru = record(u)
+            rv = record(v)
+            link(ru, rv)
+            marks[ru.level].append(u)
+            marks[rv.level].append(v)
+        self._m += len(insertions)
+        _merge_marks(dirty, marks)
 
         bounds = self._inv1_bound_int
         jump = self.insertion_strategy == "jump"
@@ -622,7 +664,7 @@ class PLDS(QueryView):
             if len(rec.up) > bounds[rec.level]:
                 newly_marked.append(rec)
             for wrec in newly_marked:
-                _mark(dirty, wrec.level, wrec.id)
+                marks[wrec.level].append(wrec.id)
 
         track = self.track_orientation
         touched = self._touched
@@ -667,6 +709,7 @@ class PLDS(QueryView):
                 if __debug__:
                     assert _is_sorted_unique(movers)
                 tracker.flat_parfor(movers, rise)
+                _merge_marks(dirty, marks)
                 if span is not None:
                     span.attrs["movers"] = len(movers)
                     tracer.end(span)
@@ -809,8 +852,7 @@ class PLDS(QueryView):
                     marked_next.sort()
                     dirty[target] = marked_next
                 else:
-                    for w in marked_next:
-                        _mark(dirty, target, w)
+                    dirty[target] = sorted(set(marked_next).union(bucket))
             if span is not None:
                 tracer.end(span)
 
@@ -992,16 +1034,22 @@ class PLDS(QueryView):
     ) -> None:
         tracker = self.tracker
         tracker.add(work=2 * len(deletions), depth=self._mut_depth)
-        affected: set[int] = set()
-        for u, v in deletions:
-            self._delete_edge_struct(u, v)
-            affected.add(u)
-            affected.add(v)
+        vertices = self._vertices
+        unlink = self._unlink_records
+        affected: set[_VertexRecord] = set()
+        for u, v in deletions:  # validated: unlink without a re-check
+            ru = vertices[u]
+            rv = vertices[v]
+            unlink(ru, rv)
+            affected.add(ru)
+            affected.add(rv)
+        self._m -= len(deletions)
 
         desire: dict[int, int] = {}
-        # Pending buckets are sorted-unique id lists (see :func:`_mark`).
+        # Pending buckets are sorted-unique id lists, fed through per-level
+        # mark buffers merged once per round (see :func:`_merge_marks`).
         pending: dict[int, list[int]] = {}
-        vertices = self._vertices
+        marks: defaultdict[int, list[int]] = defaultdict(list)
         thresholds = self._inv2_thresh_int
 
         def consider(w: int) -> None:
@@ -1014,9 +1062,21 @@ class PLDS(QueryView):
             if up_star < thresholds[lvl]:
                 dl = self._calculate_desire_level(rec)
                 desire[w] = dl
-                _mark(pending, dl, w)
+                marks[dl].append(w)
 
-        tracker.flat_parfor(sorted(affected), consider)
+        # Only Invariant-2 violators charge anything in ``consider``, so a
+        # parfor over them alone, in id order, keeps the summed work, the
+        # max depth and the hook counts of one over every affected vertex.
+        violators: list[int] = []
+        for rec in affected:
+            lvl = rec.level
+            if lvl:
+                below = rec.down.get(lvl - 1)
+                if len(rec.up) + (len(below) if below else 0) < thresholds[lvl]:
+                    violators.append(rec.id)
+        violators.sort()
+        tracker.flat_parfor(violators, consider)
+        _merge_marks(pending, marks)
 
         # Process levels bottom-up; each vertex moves exactly once
         # (Lemma 5.6: once level i is done, no vertex desires <= i).
@@ -1064,7 +1124,7 @@ class PLDS(QueryView):
                 if fresh != level:
                     if fresh < rec.level:
                         desire[v] = fresh
-                        _mark(pending, fresh, v)
+                        marks[fresh].append(v)
                     else:
                         desire.pop(v, None)
                     return
@@ -1083,6 +1143,7 @@ class PLDS(QueryView):
             if __debug__:
                 assert _is_sorted_unique(movers)
             tracker.flat_parfor(movers, descend)
+            _merge_marks(pending, marks)
             if span is not None:
                 span.attrs["movers"] = len(movers)
                 tracer.end(span)
@@ -1252,39 +1313,23 @@ class PLDS(QueryView):
         ru.deg -= 1
         rv.deg -= 1
 
-    def _insert_edge_struct(
-        self, u: int, v: int
-    ) -> tuple[_VertexRecord, _VertexRecord]:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if self.has_edge(u, v):
-            raise ValueError(f"duplicate edge ({u},{v})")
-        ru, rv = self._record(u), self._record(v)
-        self._link_records(ru, rv)
-        self._m += 1
-        return ru, rv
-
-    def _delete_edge_struct(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) not present")
-        ru, rv = self._vertices[u], self._vertices[v]
-        self._unlink_records(ru, rv)
-        self._m -= 1
-
     # ------------------------------------------------------------------
     # Orientation upkeep (Algorithm 5)
     # ------------------------------------------------------------------
 
-    def _finish_orientation(self, batch: Batch, result: UpdateResult) -> None:
+    def _finish_orientation(
+        self, inserted: set[tuple[int, int]], result: UpdateResult
+    ) -> None:
+        """Record flips among the touched edges and orient the batch's
+        (canonical) insertions."""
         tracker = self.tracker
-        inserted = set(batch.insertions)
         tracker.add(
             work=max(1, len(self._touched) + len(inserted)), depth=self._mut_depth
         )
         for e in self._touched:
+            # Every key of H is a live edge (deletions left it before the
+            # cascades ran), so no edge lookup is needed here.
             if e in inserted or e not in self._orient:
-                continue
-            if not self.has_edge(*e):
                 continue
             new_dir = self.orientation_of(*e)
             old_dir = self._orient[e]
@@ -1430,10 +1475,18 @@ class PLDS(QueryView):
             if not 0 <= level < plds.num_levels:
                 raise ValueError(f"level {level} of vertex {v} out of range")
             plds._record(v).level = level
+        vertices = plds._vertices
         for u, v in snapshot["edges"]:
-            if u not in plds._vertices or v not in plds._vertices:
+            ru = vertices.get(u)
+            rv = vertices.get(v)
+            if ru is None or rv is None:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
-            plds._insert_edge_struct(u, v)
+            if u == v:
+                raise ValueError("self-loops are not allowed")
+            if _linked(ru, rv):
+                raise ValueError(f"duplicate edge ({u},{v})")
+            plds._link_records(ru, rv)
+            plds._m += 1
         if plds.track_orientation:
             for e in plds.edges():
                 plds._orient[e] = plds.orientation_of(*e)

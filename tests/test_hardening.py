@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.lds import LDS
 from repro.core.plds import PLDS
 from repro.framework import create_clique_driver, create_matching_driver
 from repro.graphs.generators import erdos_renyi
@@ -67,6 +70,91 @@ class TestBatchValidationAtomicity:
         with pytest.raises(ValueError):
             plds.update(Batch(insertions=[(2, 3)], deletions=[(4, 5)]))
         assert not plds.has_edge(2, 3)  # insertion did not happen
+
+
+#: K6 on 0..5 plus a pendant tree on 6..9: the clique rises above the
+#: pendants, so some edges sit in a ``down`` slot (endpoints on
+#: different levels).
+_ATOMIC_BASE = [(a, b) for a in range(6) for b in range(a + 1, 6)] + [
+    (0, 6), (1, 7), (2, 8), (6, 9),
+]
+_ATOMIC_ENGINES = {
+    "plds": lambda: PLDS(n_hint=16),
+    "pldsopt": lambda: PLDS(n_hint=16, group_shrink=50),
+    "jump": lambda: PLDS(n_hint=16, insertion_strategy="jump"),
+    "lds": lambda: LDS(n_hint=16),
+}
+#: Rejection branch -> the start of its ValueError message.
+_REJECTIONS = {
+    "self-loop": "self-loop",
+    "dup-insert": "duplicate insertion",
+    "dup-delete": "duplicate deletion",
+    "insert-and-delete": "edge .* both inserted and deleted",
+    "insert-existing": "insertion of existing edge",
+    "insert-existing-down": "insertion of existing edge",
+    "delete-missing": "deletion of missing edge",
+    "delete-unseen": "deletion of missing edge",
+}
+
+
+class TestRejectionAtomicityProperty:
+    """Every rejection branch raises before anything mutates, whatever
+    valid updates share the batch."""
+
+    @pytest.mark.parametrize("branch", sorted(_REJECTIONS))
+    @pytest.mark.parametrize("kind", sorted(_ATOMIC_ENGINES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_rejected_batch_leaves_state_unchanged(self, kind, branch, data):
+        engine = _ATOMIC_ENGINES[kind]()
+        engine.update(Batch(insertions=_ATOMIC_BASE))
+        existing = sorted(engine.edges())
+        down = [e for e in existing if engine.level(e[0]) != engine.level(e[1])]
+        assert down, "fixture must store some edge in a down slot"
+        missing = [
+            (a, b) for a in range(10) for b in range(a + 1, 10)
+            if not engine.has_edge(a, b)
+        ]
+        unseen = [(3, 100), (100, 101), (-7, 2)]
+        fresh = missing + [(3, 50), (50, 51)]  # valid, some with new ids
+
+        def turn(e):
+            return data.draw(st.sampled_from([e, (e[1], e[0])]))
+
+        pick = {
+            "self-loop": [(v, v) for v in (0, 6, 9, 100)],
+            "dup-insert": fresh,
+            "dup-delete": existing,
+            "insert-and-delete": fresh,
+            "insert-existing": existing,
+            "insert-existing-down": down,
+            "delete-missing": missing,
+            "delete-unseen": unseen,
+        }[branch]
+        bad = data.draw(st.sampled_from(pick))
+        others = {bad, (bad[1], bad[0])}
+        ins = data.draw(st.lists(st.sampled_from(fresh), unique=True, max_size=4))
+        dels = data.draw(st.lists(st.sampled_from(existing), unique=True, max_size=4))
+        ins = [turn(e) for e in ins if e not in others]
+        dels = [turn(e) for e in dels if e not in others]
+        if branch in ("self-loop", "insert-existing", "insert-existing-down"):
+            ins.insert(data.draw(st.integers(0, len(ins))), turn(bad))
+        elif branch == "dup-insert":
+            ins += [turn(bad), turn(bad)]
+        elif branch == "dup-delete":
+            dels += [turn(bad), turn(bad)]
+        elif branch == "insert-and-delete":
+            ins.append(turn(bad))
+            dels.insert(data.draw(st.integers(0, len(dels))), turn(bad))
+        else:  # deletion of a missing edge
+            dels.insert(data.draw(st.integers(0, len(dels))), turn(bad))
+
+        before = engine.to_snapshot()
+        n_before = engine.num_vertices
+        with pytest.raises(ValueError, match=_REJECTIONS[branch]):
+            engine.update(Batch(insertions=ins, deletions=dels))
+        assert engine.to_snapshot() == before
+        assert engine.num_vertices == n_before
 
 
 class TestDeterminism:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.lds import LDS
 from repro.core.orientation import (
     degeneracy,
     is_acyclic_orientation,
     max_out_degree,
     out_degrees,
 )
+from repro.core.plds import PLDS
+from repro.graphs.dynamic_graph import canonical_edge
 from repro.graphs.generators import (
     barabasi_albert,
     erdos_renyi,
@@ -110,3 +115,34 @@ class TestPLDSOrientation:
 
         log2n = math.log2(100) ** 2
         assert total_flips <= 200 * log2n
+
+
+class TestReversedPairs:
+    """``update`` takes an edge as ``(u, v)`` or ``(v, u)``; orientation
+    upkeep must key on the canonical edge either way."""
+
+    @staticmethod
+    def _run(cls, reverse):
+        edges = [canonical_edge(*e) for e in barabasi_albert(300, 5, seed=3)]
+        random.Random(1).shuffle(edges)
+        flip = (lambda e: (e[1], e[0])) if reverse else (lambda e: e)
+        engine = cls(n_hint=300, track_orientation=True)
+        results = [
+            engine.update(Batch(insertions=[flip(e) for e in edges[i : i + 100]]))
+            for i in range(0, len(edges), 100)
+        ]
+        results.append(engine.update(Batch(deletions=[flip(e) for e in edges[:400]])))
+        # Flips are collected from a set of edges: compare them as sets.
+        for r in results:
+            r.flipped.sort()
+        return results, engine
+
+    @pytest.mark.parametrize("cls", [PLDS, LDS], ids=["plds", "lds"])
+    def test_reversed_input_matches_canonical(self, cls):
+        canon, ref = self._run(cls, reverse=False)
+        rev, engine = self._run(cls, reverse=True)
+        assert sum(len(r.flipped) for r in canon) > 0
+        assert rev == canon
+        assert engine._orient == ref._orient
+        assert set(engine._orient) == set(engine.edges())
+        assert all(d == engine.orientation_of(*e) for e, d in engine._orient.items())

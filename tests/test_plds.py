@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
 
+from repro.core import plds as plds_module
 from repro.core.invariants import approximation_violations, structure_matches_edges
-from repro.core.plds import PLDS
+from repro.core.lds import LDS
+from repro.core.plds import PLDS, _is_sorted_unique
 from repro.graphs.generators import (
     barabasi_albert,
     erdos_renyi,
@@ -114,6 +117,58 @@ class TestBasicUpdates:
         assert p.has_edge(1, 2)
         assert not p.has_edge(0, 1)
         assert_no_violations(p)
+
+
+class TestSingleLookup:
+    """Validation is a batch's only edge lookup, and buffered cascade marks
+    merge into exactly the buckets per-mark sorted inserts would build."""
+
+    @pytest.mark.parametrize("cls", [PLDS, LDS], ids=["plds", "lds"])
+    def test_valid_batch_never_calls_has_edge(self, cls, monkeypatch):
+        calls = []
+        has_edge = PLDS.has_edge
+
+        def counting(self, u, v):
+            calls.append((u, v))
+            return has_edge(self, u, v)
+
+        monkeypatch.setattr(PLDS, "has_edge", counting)
+        edges = erdos_renyi(60, 240, seed=5)
+        engine = cls(n_hint=64)
+        engine.update(Batch(insertions=edges[:200]))
+        engine.update(Batch(insertions=edges[200:], deletions=edges[:100]))
+        assert engine.num_edges == 140
+        assert calls == []
+        assert engine.has_edge(*edges[-1]) and len(calls) == 1  # counter is live
+
+    @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
+    def test_buckets_sorted_unique_after_bulk_load(self, strategy, monkeypatch):
+        merged = []
+        merge = plds_module._merge_marks
+
+        def checked(buckets, marks):
+            merged.append(sum(map(len, marks.values())))
+            expected = {level: list(ids) for level, ids in buckets.items()}
+            for level, ids in marks.items():
+                bucket = expected.setdefault(level, [])
+                for v in ids:
+                    i = bisect_left(bucket, v)
+                    if i == len(bucket) or bucket[i] != v:
+                        bucket.insert(i, v)
+            merge(buckets, marks)
+            assert buckets == expected
+            assert all(_is_sorted_unique(ids) for ids in buckets.values())
+            assert not marks
+
+        monkeypatch.setattr(plds_module, "_merge_marks", checked)
+        edges = barabasi_albert(1000, 4, seed=7)  # power-law degrees
+        plds = PLDS(n_hint=1000, insertion_strategy=strategy)
+        plds.update(Batch(insertions=edges))
+        loads = len(merged)
+        plds.update(Batch(deletions=edges[: len(edges) // 2]))
+        assert merged[0] == 2 * len(edges)  # every endpoint of the load
+        assert sum(merged[loads:]) > 0  # the deletion cascade marked too
+        assert_no_violations(plds)
 
 
 class TestInvariantsUnderChurn:
