@@ -804,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analog dataset scale factor")
         p.add_argument("--batch-size", type=_positive_int, default=None,
                        help="updates per batch (default: m/4)")
-        p.add_argument("--max-batches", type=int, default=None)
+        p.add_argument("--max-batches", type=_positive_int, default=None,
+                       help="process at most this many batches")
 
     p = sub.add_parser("datasets", help="list the analog dataset suite")
     p.add_argument("--scale", type=float, default=0.3)

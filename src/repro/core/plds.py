@@ -49,7 +49,7 @@ from .. import faults as _faults
 from ..graphs.dynamic_graph import canonical_edge
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
-from ..graphs.streams import Batch
+from ..graphs.streams import Batch, check_batch
 from ..parallel.engine import WorkDepthTracker
 from ..parallel.hashtable import LOG_STAR_DEPTH
 from ..parallel.primitives import log2_ceil
@@ -514,9 +514,9 @@ class PLDS(QueryView):
         (Algorithm 3); orientation changes are derived afterwards
         (Algorithm 5).  Returns an :class:`UpdateResult`.
 
-        The batch is validated up front (uniqueness, validity, and
-        insert/delete disjointness — the Section-8 assumptions), so an
-        invalid batch raises ``ValueError`` *before* any mutation; use
+        The batch is checked up front against the Section-8 contract
+        (:func:`repro.graphs.streams.check_batch`), so an invalid batch
+        raises ``ValueError`` *before* any mutation; use
         :func:`repro.graphs.streams.preprocess_batch` to clean raw
         streams.
         """
@@ -581,50 +581,21 @@ class PLDS(QueryView):
 
     def insert_edges(self, edges: Iterable[tuple[int, int]]) -> UpdateResult:
         """Convenience wrapper: one insertion-only batch."""
-        return self.update(Batch(insertions=[canonical_edge(*e) for e in edges]))
+        return self.update(Batch(insertions=list(edges)))
 
     def delete_edges(self, edges: Iterable[tuple[int, int]]) -> UpdateResult:
         """Convenience wrapper: one deletion-only batch."""
-        return self.update(Batch(deletions=[canonical_edge(*e) for e in edges]))
+        return self.update(Batch(deletions=list(edges)))
 
     def _validate_batch(
         self, batch: Batch
-    ) -> tuple[set[tuple[int, int]], dict[tuple[int, int], None]]:
-        """Check the Section-8 batch assumptions before mutating anything.
-
-        The batch's only edge lookup: the structure edits that follow
+    ) -> tuple[dict[tuple[int, int], None], dict[tuple[int, int], None]]:
+        """Check the batch contract before mutating anything: the
+        batch's only edge lookup, so the structure edits that follow
         link and unlink without re-checking.  Returns the canonical
-        insertions (a set) and deletions (a dict, kept in batch order for
-        the pre-batch orientation report).
-        """
+        insertions and deletions in batch order."""
         self.tracker.add(work=max(1, len(batch)), depth=5)
-        get = self._vertices.get
-        ins: set[tuple[int, int]] = set()
-        for u, v in batch.insertions:
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v}) in batch")
-            e = (u, v) if u < v else (v, u)
-            if e in ins:
-                raise ValueError(f"duplicate insertion {e} in batch")
-            ru = get(u)
-            if ru is not None:
-                rv = get(v)
-                if rv is not None and _linked(ru, rv):
-                    raise ValueError(f"insertion of existing edge {e}")
-            ins.add(e)
-        dels: dict[tuple[int, int], None] = {}
-        for u, v in batch.deletions:
-            e = (u, v) if u < v else (v, u)
-            if e in dels:
-                raise ValueError(f"duplicate deletion {e} in batch")
-            if e in ins:
-                raise ValueError(f"edge {e} both inserted and deleted in batch")
-            ru = get(u)
-            rv = get(v)
-            if ru is None or rv is None or not _linked(ru, rv):
-                raise ValueError(f"deletion of missing edge {e}")
-            dels[e] = None
-        return ins, dels
+        return check_batch(batch, self.has_edge)
 
     # ------------------------------------------------------------------
     # Algorithm 2: RebalanceInsertions
@@ -1318,7 +1289,7 @@ class PLDS(QueryView):
     # ------------------------------------------------------------------
 
     def _finish_orientation(
-        self, inserted: set[tuple[int, int]], result: UpdateResult
+        self, inserted: dict[tuple[int, int], None], result: UpdateResult
     ) -> None:
         """Record flips among the touched edges and orient the batch's
         (canonical) insertions."""

@@ -14,9 +14,10 @@ protocols:
 
 This module also provides batch *preprocessing* (Section 8): deduplicating
 updates per edge (latest timestamp wins) and filtering to valid updates
-(insert only non-existent edges, delete only existing ones), plus the
-write-ahead :class:`UpdateJournal` the serving layer uses for
-transactional batch application and crash recovery.
+(insert only non-existent edges, delete only existing ones); the batch
+contract itself (:func:`check_batch`, called once at each engine and
+service entry); plus the write-ahead :class:`UpdateJournal` the serving
+layer uses for transactional batch application and crash recovery.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .dynamic_graph import canonical_edge
 
@@ -40,7 +41,7 @@ __all__ = [
     "mixed_batch",
     "sliding_window_batches",
     "preprocess_batch",
-    "validate_vertex_ids",
+    "check_batch",
 ]
 
 
@@ -211,20 +212,51 @@ def preprocess_batch(
     return batch
 
 
-def validate_vertex_ids(batch: Batch) -> None:
-    """Reject negative vertex ids, naming the offending update.
+def check_batch(
+    batch: Batch, has_edge: Callable[[int, int], bool]
+) -> tuple[dict[tuple[int, int], None], dict[tuple[int, int], None]]:
+    """Check the Section-8 batch contract before anything mutates.
 
-    :class:`EdgeUpdate` already rejects negative ids at construction, so
-    streams built from updates are clean; this guards :class:`Batch`
-    objects assembled directly from tuples (the ``apply_batch`` path),
-    keeping the two entry points consistent.
+    One pass in batch order (insertions, then deletions) raises
+    ``ValueError`` on the first negative vertex id, self-loop, duplicate
+    insertion or deletion, edge both inserted and deleted, insertion of
+    a present edge or deletion of a missing one.  ``has_edge`` answers
+    membership in the pre-batch graph and is called once per batch
+    edge, with the canonical pair.  Returns the canonical insertions
+    and deletions as insertion-ordered dicts; a pair that is already a
+    canonical tuple is kept as the caller's object.
     """
-    for u, v in batch.insertions:
+    ins: dict[tuple[int, int], None] = {}
+    for e in batch.insertions:
+        u, v = e
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex id in insertion ({u},{v})")
-    for u, v in batch.deletions:
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) in batch")
+        if u > v or type(e) is not tuple:
+            e = (u, v) if u < v else (v, u)
+        if e in ins:
+            raise ValueError(f"duplicate insertion {e} in batch")
+        if has_edge(*e):
+            raise ValueError(f"insertion of existing edge {e}")
+        ins[e] = None
+    dels: dict[tuple[int, int], None] = {}
+    for e in batch.deletions:
+        u, v = e
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex id in deletion ({u},{v})")
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) in batch")
+        if u > v or type(e) is not tuple:
+            e = (u, v) if u < v else (v, u)
+        if e in dels:
+            raise ValueError(f"duplicate deletion {e} in batch")
+        if e in ins:
+            raise ValueError(f"edge {e} both inserted and deleted in batch")
+        if not has_edge(*e):
+            raise ValueError(f"deletion of missing edge {e}")
+        dels[e] = None
+    return ins, dels
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ is the seam those PRs extend: one session object that
 - accepts *raw* update streams — :meth:`CoreService.apply_updates`
   preprocesses them per Section 8 (dedupe by timestamp, validate against
   the current graph) via :func:`repro.graphs.streams.preprocess_batch` —
-  or already-valid :class:`~repro.graphs.streams.Batch` objects;
+  or :class:`~repro.graphs.streams.Batch` objects, which
+  :meth:`CoreService.apply_batch` checks against the batch contract
+  (:func:`repro.graphs.streams.check_batch`) before journaling them;
 - applies every batch **transactionally**: the batch is journaled to a
   write-ahead :class:`~repro.graphs.streams.UpdateJournal` before the
   engine sees it, and any exception mid-apply (including an
@@ -69,8 +71,8 @@ from ..graphs.streams import (
     Batch,
     EdgeUpdate,
     UpdateJournal,
+    check_batch,
     preprocess_batch,
-    validate_vertex_ids,
 )
 from ..parallel.engine import Cost
 from ..parallel.scheduler import BrentScheduler
@@ -103,12 +105,14 @@ class RetryPolicy:
 
     Only *transient* failures are worth retrying — by default exactly
     :class:`~repro.faults.InjectedFault` (the substrate's model of a
-    crash that will not recur); deterministic errors such as a
-    ``ValueError`` from batch validation re-raise immediately after
-    rollback.  Backoff is deterministic and **metered as depth** on the
-    engine's tracker (attempt ``k`` waits ``backoff_depth * 2^(k-1)``
-    depth units), never a wall-clock sleep, so recovery cost shows up in
-    the same simulated-time currency as everything else.
+    crash that will not recur); any other exception re-raises
+    immediately after rollback.  A batch that breaks the batch contract
+    never gets here: :meth:`CoreService.apply_batch` rejects it before
+    journaling, with nothing to roll back.  Backoff is deterministic
+    and **metered as depth** on the engine's tracker (attempt ``k``
+    waits ``backoff_depth * 2^(k-1)`` depth units), never a wall-clock
+    sleep, so recovery cost shows up in the same simulated-time
+    currency as everything else.
     """
 
     max_attempts: int = 3
@@ -481,14 +485,20 @@ class CoreService:
         """Preprocess a raw update stream (Section 8) and apply it.
 
         Duplicates collapse to the latest timestamp per edge; insertions
-        of present edges and deletions of absent edges are dropped.
+        of present edges and deletions of absent edges are dropped.  The
+        result is a valid, canonical batch by construction, so it takes
+        the journaled path without a second check.
         """
-        return self.apply_batch(preprocess_batch(self, updates))
+        return self._apply(preprocess_batch(self, updates))
 
     def apply_batch(self, batch: Batch) -> BatchTelemetry:
         """Apply one batch of *unique, valid* updates, transactionally.
 
-        The batch is journaled write-ahead, then applied under the
+        The batch is first checked against the committed edges
+        (:func:`~repro.graphs.streams.check_batch`): a batch that breaks
+        the Section-8 contract raises ``ValueError`` before anything is
+        journaled or applied, so it needs no rollback.  A valid batch is
+        canonicalised, journaled write-ahead, then applied under the
         service's :class:`RetryPolicy`: a failed attempt rolls the
         engine back to the last committed state, charges the metered
         backoff, and retries (transient faults only); exhausted or
@@ -509,6 +519,11 @@ class CoreService:
         rolled-back metering, the span does not once the engine keeps
         its tracker).
         """
+        ins, dels = check_batch(batch, self.has_edge)
+        return self._apply(Batch(insertions=list(ins), deletions=list(dels)))
+
+    def _apply(self, batch: Batch) -> BatchTelemetry:
+        """Serve a valid, canonical ``batch`` (journal, apply, commit)."""
         tracer = _tracing.ACTIVE
         if tracer is None:
             return self._serve_batch(batch, None)
@@ -524,7 +539,6 @@ class CoreService:
     def _serve_batch(
         self, batch: Batch, tracer: "_tracing.Tracer | None"
     ) -> BatchTelemetry:
-        validate_vertex_ids(batch)
         # While in flight, concurrent readers serve the last published
         # epoch and report staleness 1 (one in-flight batch behind).
         self._in_flight = True
@@ -605,14 +619,11 @@ class CoreService:
         # publication, so every read sees edges matching its epoch.  The
         # new state becomes readable *now* — before the audit, which may
         # take a long degradation detour that readers must not wait on.
-        edges = self._edges
-        for e in batch.insertions:
-            u, v = e
-            # tuple(e) is e itself for a tuple: the set shares the edge
-            # objects the journal record already holds.
-            edges.add(tuple(e) if u < v else (v, u))
-        for u, v in batch.deletions:
-            edges.discard(canonical_edge(u, v))
+        # The batch is canonical (check_batch keeps a caller's canonical
+        # tuples), so the set shares the edge objects the journal record
+        # already holds.
+        self._edges.update(batch.insertions)
+        self._edges.difference_update(batch.deletions)
         published = self._publish_epoch(self._commit_touched(batch))
         degraded = False
         if self.audit_policy.due(self.batches_applied, rolled_back):
@@ -1148,13 +1159,24 @@ class CoreService:
             mreg.inc("service.restores", mode="journal")
         tracer = _tracing.ACTIVE
         if tracer is None:
-            for batch in journal.committed_batches():
-                service.apply_batch(batch)
+            service._replay(journal)
             return service
         with tracer.span("service.restore", service._tracker(), mode="journal"):
-            for batch in journal.committed_batches():
-                service.apply_batch(batch)
+            service._replay(journal)
         return service
+
+    def _replay(self, journal: UpdateJournal) -> None:
+        """Apply the committed records in order, naming the ``seq`` of
+        one that breaks the batch contract."""
+        for record in journal.records:
+            if record.status != "committed":
+                continue
+            try:
+                self.apply_batch(record.batch())
+            except ValueError as exc:
+                raise ValueError(
+                    f"journal record seq {record.seq} cannot be replayed: {exc}"
+                ) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         host = (

@@ -20,11 +20,11 @@ Fault isolation ladder (bottom rung first):
    the *whole* engine (snapshot-capable, so bit-identically) and
    re-applies the batch under its own :class:`~repro.service.RetryPolicy`.
 
-Batch hygiene lives here, once: ``validate_vertex_ids``, self-loop
-*dropping* (a stream-boundary convention, matching
-:func:`~repro.graphs.streams.preprocess_batch`), canonicalization, and
-the Section-8 uniqueness/validity checks — all before any shard
-mutates, so the kernels can assume clean per-shard item lists.
+Every batch is checked once, before any shard mutates, against the
+same Section-8 contract as the single-structure PLDS
+(:func:`~repro.graphs.streams.check_batch`: a negative id, self-loop,
+duplicate, overlap, present insertion or missing deletion raises), so
+the kernels can assume clean, canonical per-shard item lists.
 
 Not supported in sharded mode: orientation tracking (Algorithm 5's
 ``H`` table would need its own touched-edge exchange) and the
@@ -43,8 +43,7 @@ from .. import faults as _faults
 from ..core.plds import UpdateResult
 from ..core.query import EMPTY_EPOCH, EpochSnapshot
 from ..faults import InjectedFault
-from ..graphs.dynamic_graph import canonical_edge
-from ..graphs.streams import Batch, validate_vertex_ids
+from ..graphs.streams import Batch, check_batch
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import tracing as _tracing
@@ -192,7 +191,7 @@ class Coordinator:
         edges) before any shard holds state; hash partitioning needs no
         bootstrap.  Idempotently a plain batch insert afterwards.
         """
-        edges = [canonical_edge(u, v) for u, v in edges]
+        edges = list(edges)
         if (
             not self._initialized
             and self.partition == "degree"
@@ -236,7 +235,8 @@ class Coordinator:
         return result
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
-        ins, dels = self._clean_batch(batch)
+        self.tracker.add(work=max(1, len(batch)), depth=5)
+        ins, dels = check_batch(batch, self.engine.has_edge)
         result = UpdateResult()
         engine = self.engine
         self.last_rounds = 0
@@ -273,46 +273,9 @@ class Coordinator:
             return active[0]
         return max(active) - min(active)
 
-    def _clean_batch(
-        self, batch: Batch
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Boundary hygiene, applied exactly once before any shard
-        mutates: id validation, self-loop dropping, canonicalization,
-        and the Section-8 uniqueness/validity checks."""
-        self.tracker.add(work=max(1, len(batch)), depth=5)
-        validate_vertex_ids(batch)
-        engine = self.engine
-        ins: list[tuple[int, int]] = []
-        seen_ins: set[tuple[int, int]] = set()
-        for u, v in batch.insertions:
-            if u == v:
-                continue  # self-loops dropped at the boundary
-            e = canonical_edge(u, v)
-            if e in seen_ins:
-                raise ValueError(f"duplicate insertion {e} in batch")
-            if engine.has_edge(*e):
-                raise ValueError(f"insertion of existing edge {e}")
-            seen_ins.add(e)
-            ins.append(e)
-        dels: list[tuple[int, int]] = []
-        seen_dels: set[tuple[int, int]] = set()
-        for u, v in batch.deletions:
-            if u == v:
-                continue
-            e = canonical_edge(u, v)
-            if e in seen_dels:
-                raise ValueError(f"duplicate deletion {e} in batch")
-            if e in seen_ins:
-                raise ValueError(f"edge {e} both inserted and deleted in batch")
-            if not engine.has_edge(*e):
-                raise ValueError(f"deletion of missing edge {e}")
-            seen_dels.add(e)
-            dels.append(e)
-        return ins, dels
-
     # -- fault-isolated scatter ----------------------------------------
 
-    def _scatter(self, edges: list[tuple[int, int]], insert: bool) -> None:
+    def _scatter(self, edges: dict[tuple[int, int], None], insert: bool) -> None:
         """Route ``edges`` and apply each shard's items under shard-level
         fault isolation; fold per-shard metering into the engine tracker
         (parallel shards: sum work, max depth).  Ghost-directory commits

@@ -1,0 +1,169 @@
+"""One batch contract across every entry point.
+
+The Section-8 batch assumptions (unique, valid updates; Algorithm 1's
+precondition) are checked by :func:`repro.graphs.streams.check_batch`
+and nowhere else.  Every entry — the single-structure engines, the
+sharded coordinator and the serving layer — must therefore accept and
+reject exactly the same batches with exactly the same message, and a
+rejected batch must leave no trace.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.lds import LDS
+from repro.core.plds import PLDS
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.streams import Batch, UpdateJournal
+from repro.obs.metrics import MetricsRegistry, collecting
+from repro.registry import algorithm_keys
+from repro.service import CoreService
+from repro.shard import Coordinator
+
+_N_HINT = 16
+#: Present at the start of every example (ids 0..9).
+_BASE = erdos_renyi(10, 18, seed=4)
+#: Absent at the start, two with ids the base graph lacks.
+_ABSENT = [(0, 11), (10, 11)] + [
+    (a, b) for a in range(10) for b in range(a + 1, 10) if (a, b) not in _BASE
+][:4]
+#: Always rejected: self-loops and negative ids.
+_BAD = [(5, 5), (12, 12), (-1, 3), (-2, -1)]
+
+
+def _pairs(likely: list[tuple[int, int]]) -> st.SearchStrategy:
+    """Mostly ``likely`` pairs (so duplicates and overlaps are common),
+    else any pool pair or any pair of ids in -2..12, either way round."""
+    return st.one_of(
+        st.sampled_from(likely),
+        st.sampled_from(likely),
+        st.sampled_from(_BASE + _ABSENT + _BAD),
+        st.tuples(st.integers(-2, 12), st.integers(-2, 12)),
+    ).flatmap(lambda e: st.sampled_from([e, (e[1], e[0])]))
+
+
+_batches = st.builds(
+    lambda ins, dels: Batch(insertions=ins, deletions=dels),
+    st.lists(_pairs(_ABSENT), max_size=4),
+    st.lists(_pairs(_BASE + _ABSENT[:2]), max_size=4),  # some overlap
+)
+
+_shard = pytest.mark.shard
+_ENTRIES = [
+    pytest.param(lambda: PLDS(n_hint=_N_HINT), id="plds"),
+    pytest.param(lambda: PLDS(n_hint=_N_HINT, group_shrink=50), id="plds-shrink"),
+    pytest.param(lambda: LDS(n_hint=_N_HINT), id="lds"),
+    pytest.param(lambda: Coordinator(_N_HINT, shards=1), id="coord-1", marks=_shard),
+    pytest.param(lambda: Coordinator(_N_HINT, shards=4), id="coord-4", marks=_shard),
+    pytest.param(lambda: CoreService("pldsopt", n_hint=_N_HINT), id="svc-pldsopt"),
+    pytest.param(
+        lambda: CoreService("plds-sharded", n_hint=_N_HINT),
+        id="svc-plds-sharded",
+        marks=_shard,
+    ),
+    pytest.param(lambda: CoreService("sun", n_hint=_N_HINT), id="svc-sun"),
+]
+
+
+def _load(entry) -> None:
+    if isinstance(entry, CoreService):
+        entry.apply_batch(Batch(insertions=list(_BASE)))
+    else:
+        entry.update(Batch(insertions=list(_BASE)))
+
+
+def _apply(entry, batch: Batch) -> str | None:
+    """The entry's decision: ``None`` (accepted) or the rejection message."""
+    try:
+        if isinstance(entry, CoreService):
+            entry.apply_batch(batch)
+        else:
+            entry.update(batch)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _state(entry) -> tuple:
+    if isinstance(entry, CoreService):
+        return (
+            set(entry._edges),
+            len(entry.journal),
+            entry.total_cost,
+            entry.batches_applied,
+            entry.coreness_map(),
+        )
+    return (entry.to_snapshot(), sorted(entry.edges()))
+
+
+def _edge_set(entry) -> set[tuple[int, int]]:
+    if isinstance(entry, CoreService):
+        return set(entry._edges)
+    return set(entry.edges())
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("make", _ENTRIES)
+    @settings(max_examples=80, deadline=None)
+    @given(batch=_batches)
+    def test_same_decision_and_no_trace_on_rejection(self, make, batch):
+        reference = PLDS(n_hint=_N_HINT)
+        entry = make()
+        _load(reference)
+        _load(entry)
+        before = _state(entry)
+        expected = _apply(reference, batch)
+        assert _apply(entry, batch) == expected
+        if expected is None:
+            assert _edge_set(entry) == _edge_set(reference)
+        else:
+            assert _state(entry) == before
+
+
+@pytest.mark.parametrize("key", algorithm_keys())
+def test_every_registry_key_rejects_before_journaling(key):
+    svc = CoreService(key, n_hint=_N_HINT)
+    svc.apply_batch(Batch(insertions=[(0, 1), (1, 2)]))
+    for bad in (
+        Batch(insertions=[(2, 1)]),                  # present
+        Batch(deletions=[(0, 2)]),                   # missing
+        Batch(insertions=[(3, 4), (4, 3)]),          # duplicate
+        Batch(insertions=[(5, 5)]),                  # self-loop
+        Batch(deletions=[(1, -1)]),                  # negative id
+    ):
+        with pytest.raises(ValueError):
+            svc.apply_batch(bad)
+    assert len(svc.journal) == 1
+    assert svc.num_edges == 2 and svc.audit() == []
+
+
+@pytest.mark.shard
+def test_sharded_service_rejects_self_loops():
+    registry = MetricsRegistry()
+    svc = CoreService("plds-sharded", n_hint=64)
+    svc.apply_batch(Batch(insertions=erdos_renyi(40, 80, seed=2)))
+    with collecting(registry), pytest.raises(ValueError, match=r"self-loop \(3,3\)"):
+        svc.apply_batch(Batch(insertions=[(3, 3), (3, 41)]))
+    assert svc.num_edges == svc.engine.num_edges == 80
+    assert svc.audit() == []
+    assert all(u != v for u, v in svc.reader().view.edges)
+    assert registry.counter_value("service.rollbacks") == 0
+
+
+def test_from_journal_names_the_record_that_breaks_the_contract():
+    # A journal from a service that committed a self-loop (sharded
+    # services once dropped them at the coordinator after journaling).
+    journal = UpdateJournal.from_json_dict({
+        "format": 1,
+        "records": [
+            {"seq": 1, "insertions": [[0, 1]], "deletions": [], "status": "committed"},
+            {"seq": 2, "insertions": [[3, 3]], "deletions": [], "status": "aborted"},
+            {"seq": 3, "insertions": [[1, 2], [3, 3]], "deletions": [],
+             "status": "committed"},
+        ],
+    })
+    with pytest.raises(ValueError, match=r"journal record seq 3 .*self-loop \(3,3\)"):
+        CoreService.from_journal(journal, "plds-sharded", n_hint=_N_HINT)

@@ -248,7 +248,8 @@ class TestJournalCommand:
 
 
 class TestBatchSizeValidation:
-    """``--batch-size`` below 1 is a usage error (exit 2) before any work."""
+    """``--batch-size`` or ``--max-batches`` below 1 is a usage error
+    (exit 2) before any work."""
 
     @pytest.fixture(autouse=True)
     def _workloads_must_not_run(self, monkeypatch):
@@ -272,6 +273,16 @@ class TestBatchSizeValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--batch-size" in err and "must be >= 1" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_max_batches_rejected(self, capsys, value):
+        # Previously -1 sliced off the last batch and 0 ran none, exit 0.
+        with pytest.raises(SystemExit) as exc:
+            main(["kcore", "--scale", "0.05", "--batch-size", "50",
+                  "--max-batches", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-batches" in err and "must be >= 1" in err
 
 
 class TestOutputPathValidation:

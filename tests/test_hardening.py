@@ -13,7 +13,6 @@ from repro.core.plds import PLDS
 from repro.framework import create_clique_driver, create_matching_driver
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.streams import Batch
-from repro.static_kcore.exact import exact_coreness
 
 from .conftest import assert_no_violations, build_plds
 
@@ -29,12 +28,13 @@ class TestArbitraryVertexIds:
         assert plds.coreness_estimate(base) >= 1
 
     def test_negative_ids(self):
-        plds = PLDS(n_hint=16)
-        plds.update(Batch(insertions=[(-5, -2), (-2, 7), (-5, 7)]))
-        assert_no_violations(plds)
-        exact = exact_coreness([(-5, -2), (-2, 7), (-5, 7)])
-        assert exact[-5] == 2
-        assert plds.coreness_estimate(-5) > 0
+        # Negative ids break the batch contract on every engine, as they
+        # do at EdgeUpdate construction and at the service boundary.
+        plds = build_plds([(0, 1)])
+        before = plds.to_snapshot()
+        with pytest.raises(ValueError, match=r"negative vertex id in insertion \(-2,7\)"):
+            plds.update(Batch(insertions=[(2, 7), (-2, 7)]))
+        assert plds.to_snapshot() == before
 
     def test_framework_with_sparse_ids(self):
         driver, m = create_matching_driver(n_hint=32)
@@ -94,6 +94,7 @@ _REJECTIONS = {
     "insert-existing-down": "insertion of existing edge",
     "delete-missing": "deletion of missing edge",
     "delete-unseen": "deletion of missing edge",
+    "negative-id": "negative vertex id",
 }
 
 
@@ -115,7 +116,7 @@ class TestRejectionAtomicityProperty:
             (a, b) for a in range(10) for b in range(a + 1, 10)
             if not engine.has_edge(a, b)
         ]
-        unseen = [(3, 100), (100, 101), (-7, 2)]
+        unseen = [(3, 100), (100, 101)]
         fresh = missing + [(3, 50), (50, 51)]  # valid, some with new ids
 
         def turn(e):
@@ -130,6 +131,7 @@ class TestRejectionAtomicityProperty:
             "insert-existing-down": down,
             "delete-missing": missing,
             "delete-unseen": unseen,
+            "negative-id": [(-7, 2), (0, -1), (-3, -4)],
         }[branch]
         bad = data.draw(st.sampled_from(pick))
         others = {bad, (bad[1], bad[0])}
@@ -146,6 +148,9 @@ class TestRejectionAtomicityProperty:
         elif branch == "insert-and-delete":
             ins.append(turn(bad))
             dels.insert(data.draw(st.integers(0, len(dels))), turn(bad))
+        elif branch == "negative-id":
+            side = ins if data.draw(st.booleans()) else dels
+            side.insert(data.draw(st.integers(0, len(side))), turn(bad))
         else:  # deletion of a missing edge
             dels.insert(data.draw(st.integers(0, len(dels))), turn(bad))
 

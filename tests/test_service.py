@@ -64,6 +64,7 @@ class TestBatchApply:
             svc.apply_batch(Batch(insertions=[(0, 1)]))  # duplicate edge
         assert svc.num_edges == 1
         assert svc.batches_applied == 1
+        assert len(svc.journal) == 1  # rejected before journaling
 
 
 class TestTelemetry:

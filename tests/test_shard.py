@@ -211,6 +211,7 @@ class TestBoundaryValidation:
             Batch(deletions=[(0, 3)]),                    # not present
             Batch(deletions=[(0, 1), (1, 0)]),            # duplicate delete
             Batch(insertions=[(7, 8)], deletions=[(7, 8)]),  # overlap
+            Batch(insertions=[(4, 4), (4, 5)]),           # self-loop
         ],
     )
     def test_bad_batch_rejected_before_any_shard_mutates(self, batch) -> None:
@@ -220,13 +221,6 @@ class TestBoundaryValidation:
             coord.update(batch)
         assert self._state(coord) == before
         assert coord.check_invariants() == []
-
-    def test_self_loops_dropped_at_the_boundary(self) -> None:
-        coord = self._fresh()
-        coord.update(Batch(insertions=[(4, 4), (4, 5)]))
-        assert coord.has_edge(4, 5)
-        assert not coord.has_edge(4, 4)
-        assert coord.num_edges == 4
 
 
 # ----------------------------------------------------------------------

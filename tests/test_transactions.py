@@ -63,9 +63,8 @@ def test_apply_batch_rejects_negative_deletion_and_names_it():
 
 def test_apply_updates_rejects_negative_ids_consistently():
     # The raw-stream entry point rejects at EdgeUpdate construction; the
-    # Batch entry point rejects in apply_batch — same error, same layer.
-    # (PLDS itself deliberately supports arbitrary vertex ids; see
-    # tests/test_hardening.py.)
+    # Batch entry point rejects in apply_batch (check_batch, which every
+    # engine also runs) — same error.
     svc = CoreService("plds", n_hint=16)
     with pytest.raises(ValueError, match="negative vertex id"):
         svc.apply_updates([EdgeUpdate(0, 1, True), EdgeUpdate(2, -7, True)])
@@ -248,12 +247,16 @@ def test_exhausted_retries_reraise_with_state_rolled_back():
 
 
 def test_nonretryable_error_aborts_without_retry():
-    svc = CoreService("plds", n_hint=16, retry=RetryPolicy(max_attempts=5))
+    svc = CoreService(
+        "plds", n_hint=16, retry=RetryPolicy(max_attempts=5, retry_on=())
+    )
     svc.apply_batch(Batch(insertions=[(0, 1)]))
-    with pytest.raises(ValueError):
-        svc.apply_batch(Batch(insertions=[(0, 1)]))  # duplicate: invalid
+    plan = FaultPlan([FaultPoint("service.apply", 1)])
+    with faults.active(plan), pytest.raises(InjectedFault):
+        svc.apply_batch(Batch(insertions=[(1, 2)]))
+    assert len(plan.fired) == 1  # not retried
     assert svc.journal.records[-1].status == "aborted"
-    assert svc.num_edges == 1
+    assert svc.num_edges == 1 and not svc.has_edge(1, 2)
     assert len(svc.telemetry) == 1  # no telemetry row for the aborted batch
 
 
