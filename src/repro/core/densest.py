@@ -82,17 +82,8 @@ def densest_subgraph_estimate(plds: PLDS) -> tuple[float, set[int]]:
 
     Returns ``(density_estimate, witness_vertices)`` where the estimate
     is ``k̂_max / 2`` and the witness is the set of vertices achieving
-    the maximum coreness estimate (the top occupied group).  Costs O(n);
+    the maximum coreness estimate (the top occupied group).  Costs O(n)
+    (two level walks, :meth:`~repro.core.query.QueryView.densest_estimate`);
     no update-time overhead beyond the PLDS itself.
     """
-    best = 0.0
-    for v in plds.vertices():
-        est = plds.coreness_estimate(v)
-        if est > best:
-            best = est
-    if best == 0.0:
-        return 0.0, set()
-    witness = {
-        v for v in plds.vertices() if plds.coreness_estimate(v) == best
-    }
-    return best / 2.0, witness
+    return plds.densest_estimate()

@@ -390,9 +390,8 @@ class PLDS(QueryView):
     # core_subgraph / densest_estimate come from the shared
     # :class:`~repro.core.query.QueryView` over the two hooks below.
 
-    def _level_items(self) -> Iterator[tuple[int, int, int]]:
-        for v, rec in self._vertices.items():
-            yield v, rec.level, rec.deg
+    def _records(self) -> Iterable[_VertexRecord]:
+        return self._vertices.values()
 
     def _level_deg_of(self, v: int) -> tuple[int, int] | None:
         rec = self._vertices.get(v)
@@ -1388,7 +1387,7 @@ class PLDS(QueryView):
         """
         return self.compose_snapshot(
             self.snapshot_header(),
-            {v: lvl for v, lvl, _ in self._level_items()},
+            {v: rec.level for v, rec in self._vertices.items()},
             self.edges(),
         )
 

@@ -8,9 +8,17 @@ turns a level into an estimate).  Historically each engine family
 hand-rolled those methods; this module collapses them into one
 implementation over two host hooks:
 
-- ``_level_items()`` — iterate ``(vertex, level, degree)`` for every
-  live vertex, in the host's canonical order;
+- ``_records()`` — the live vertex records (objects with ``id``,
+  ``level`` and ``deg`` attributes), in the host's canonical order;
 - ``_level_deg_of(v)`` — the pair for one vertex, ``None`` if absent.
+
+Threshold queries never materialise the estimate map.  Definition 5.11
+makes an estimate a non-decreasing step function of the level, so
+``estimate >= k`` is a level test, ``level >= L(k)`` plus a non-zero
+degree, with ``L(k)`` computed once per query by
+:meth:`QueryView.level_cut`; ``core_members`` and ``densest_estimate``
+walk the records against that cut (``docs/cost_model.md``, "Threshold
+queries in level space").
 
 On top of the shared surface sits the **epoch store** (the
 asynchronous-reads model of Liu–Shun–Zablotchi, PAPERS.md): an engine
@@ -43,10 +51,11 @@ rebuild.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, TypeVar, cast
+from typing import Any, Iterable, Iterator, TypeVar, cast
 
 __all__ = [
     "CHUNK_WIDTH",
@@ -296,10 +305,13 @@ class QueryView(CorenessQueries):
     """Mixin giving a level-structure engine the shared query surface
     plus path-copied epoch publication.
 
-    Hosts provide :meth:`_level_items` / :meth:`_level_deg_of` and the
+    Hosts provide :meth:`_records` / :meth:`_level_deg_of` and the
     estimate parameters ``levels_per_group`` / ``_group_pow``; the
-    mixin provides every derived query, bit-identical to the previously
-    hand-rolled per-engine implementations.
+    mixin provides every derived query.  Point estimates and the full
+    estimate map apply Definition 5.11 per vertex; the threshold
+    queries (:meth:`core_members`, :meth:`densest_estimate`) compare
+    each record's level against one :meth:`level_cut` instead, with
+    answers bit-identical to filtering the float estimates.
     """
 
     # Class-attribute defaults, NOT __init__ state: PLDS._rebuild()
@@ -314,8 +326,9 @@ class QueryView(CorenessQueries):
 
     # -- host hooks ----------------------------------------------------
 
-    def _level_items(self) -> Iterator[tuple[int, int, int]]:
-        """Iterate ``(vertex, level, degree)`` over live vertices."""
+    def _records(self) -> Iterable[Any]:
+        """The live vertex records, each with ``id``, ``level``, ``deg``
+        (a fresh iterable per call; callers iterate it once)."""
         raise NotImplementedError
 
     def _level_deg_of(self, v: int) -> tuple[int, int] | None:
@@ -342,12 +355,59 @@ class QueryView(CorenessQueries):
         lpg = self.levels_per_group
         pow_table = self._group_pow
         return {
-            v: (0.0 if deg == 0 else pow_table[max((lvl + 1) // lpg - 1, 0)])
-            for v, lvl, deg in self._level_items()
+            r.id: (
+                0.0 if r.deg == 0 else pow_table[max((r.level + 1) // lpg - 1, 0)]
+            )
+            for r in self._records()
         }
 
     def _estimates_view(self) -> Mapping[int, float]:
         return self.coreness_estimates()
+
+    def level_cut(self, k: float) -> int | None:
+        """The inverse of Definition 5.11: which records have estimate ``>= k``.
+
+        Returns ``None`` when no vertex qualifies (``k`` is NaN or above
+        every ``(1+δ)^e`` in the table), ``-1`` when every vertex does
+        (``k <= 0``: degree-0 vertices estimate 0), and otherwise a level
+        ``L >= 0`` such that ``estimate(v) >= k`` exactly when
+        ``level(v) >= L`` and ``v`` has non-zero degree.  With ``e`` the
+        first exponent whose ``(1+δ)^e >= k`` (a bisection of the
+        non-decreasing power table), ``L = (e+1)·levels_per_group - 1``
+        for ``e >= 1``, and ``L = 0`` for ``e == 0``, where the
+        ``max(·, 0)`` clamp puts every non-zero-degree vertex at
+        ``(1+δ)^0 >= k``.
+        """
+        if k <= 0:
+            return -1
+        pow_table = self._group_pow
+        e = bisect_left(pow_table, k)
+        if e == len(pow_table) or k != k:
+            return None
+        return (e + 1) * self.levels_per_group - 1 if e else 0
+
+    def core_members(self, k: float) -> set[int]:
+        """Vertices whose coreness estimate is at least ``k``."""
+        cut = self.level_cut(k)
+        if cut is None:
+            return set()
+        if cut < 0:
+            return {r.id for r in self._records()}
+        return {r.id for r in self._records() if r.level >= cut and r.deg}
+
+    def densest_estimate(self) -> tuple[float, set[int]]:
+        """``k̂_max / 2`` and its witness set, as
+        :meth:`CorenessQueries.densest_estimate`: the largest estimate is
+        that of the highest non-zero-degree level, and the witness is
+        the cut at that estimate."""
+        top = -1
+        for r in self._records():
+            if r.level > top and r.deg:
+                top = r.level
+        if top < 0:
+            return 0.0, set()
+        best = self._group_pow[max((top + 1) // self.levels_per_group - 1, 0)]
+        return best / 2.0, self.core_members(best)
 
     def core_subgraph(self, k: int) -> tuple[set[int], list[tuple[int, int]]]:
         """The exact k-core of the engine's current edge set (peeled)."""
@@ -382,7 +442,8 @@ class QueryView(CorenessQueries):
         if prev is None or touched is None or not prev.levels:
             est_chunks: dict[int, dict[int, float]] = {}
             lvl_chunks: dict[int, dict[int, int]] = {}
-            for v, lvl, deg in self._level_items():
+            for r in self._records():
+                v, lvl, deg = r.id, r.level, r.deg
                 c = v >> _SHIFT
                 lc = lvl_chunks.get(c)
                 if lc is None:

@@ -76,6 +76,7 @@ from ..graphs.streams import (
 )
 from ..parallel.engine import Cost
 from ..parallel.scheduler import BrentScheduler
+from ..shard import Coordinator
 from ..registry import (
     DynamicKCoreAdapter,
     algorithm_spec,
@@ -1002,15 +1003,23 @@ class CoreService:
         PLDS family it is the Lemma-5.13 superset filter of
         :func:`repro.static_kcore.subgraphs.approx_k_core_candidates`
         (contains every true member, may admit low-coreness extras); for
-        other approximate engines — including the sharded coordinator,
-        whose levels live across shards — a plain ``estimate >= k``
-        threshold on the (bit-identical) coreness estimates.
+        other approximate engines — including the sharded coordinator —
+        a plain ``estimate >= k`` threshold on the (bit-identical)
+        coreness estimates.  Level-structure engines (the PLDS family
+        and the sharded coordinator) answer both rules with one level
+        cut over the live engine
+        (:meth:`~repro.core.query.QueryView.core_members`); only the
+        other engines filter :meth:`coreness_map`.  A
+        :class:`ServiceReader` applies the plain rule to the published
+        epoch instead, so the two answers differ on the PLDS family.
         """
         impl = self._adapter.impl
         if isinstance(impl, PLDS) and k > 0:
             from ..static_kcore.subgraphs import approx_k_core_candidates
 
             return approx_k_core_candidates(impl, k)
+        if isinstance(impl, (PLDS, Coordinator)):
+            return impl.core_members(k)
         return {v for v, c in self.coreness_map().items() if c >= k}
 
     def core_subgraph(self, k: int) -> tuple[set[int], list[tuple[int, int]]]:

@@ -24,19 +24,25 @@ Every batch is checked once, before any shard mutates, against the
 same Section-8 contract as the single-structure PLDS
 (:func:`~repro.graphs.streams.check_batch`: a negative id, self-loop,
 duplicate, overlap, present insertion or missing deletion raises), so
-the kernels can assume clean, canonical per-shard item lists.
+the kernels can assume clean, canonical per-shard item lists.  The
+degree partition's bootstrap (:meth:`Coordinator.initialize`) runs the
+same check on the initial edges before it computes the assignment.
 
 Not supported in sharded mode: orientation tracking (Algorithm 5's
 ``H`` table would need its own touched-edge exchange) and the
-vertex-centric ``insert_vertices`` / ``delete_vertices`` API; the
-Lemma-5.13 ``core_members`` candidate filter also falls back to the
-plain estimate-threshold rule at the service layer (the filter walks a
-single level structure).
+vertex-centric ``insert_vertices`` / ``delete_vertices`` API.  The
+service answers ``core_members`` here with the plain ``estimate >= k``
+rule, not the Lemma-5.13 candidate filter it uses on the PLDS family;
+either way the answer is one level cut
+(:meth:`~repro.core.query.QueryView.level_cut`) over each kernel's
+local records, never its ghosts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .. import faults as _faults
@@ -186,10 +192,12 @@ class Coordinator:
         """Bootstrap from an initial edge set.
 
         With ``partition="degree"`` this is where the degree-balanced
-        assignment is computed (over a
-        :class:`~repro.graphs.dynamic_graph.DynamicGraph` of the initial
-        edges) before any shard holds state; hash partitioning needs no
-        bootstrap.  Idempotently a plain batch insert afterwards.
+        assignment is computed, from the degrees of the initial edges,
+        before any shard holds state; the edges pass the same batch
+        check as :meth:`update` first, so a malformed initial set is
+        rejected with the same message under either partition and
+        leaves no trace.  Hash partitioning needs no bootstrap.
+        Idempotently a plain batch insert afterwards.
         """
         edges = list(edges)
         if (
@@ -198,11 +206,9 @@ class Coordinator:
             and self.engine.num_vertices == 0
             and edges
         ):
-            from ..graphs.dynamic_graph import DynamicGraph
-
-            balanced = Partitioner.degree_balanced(
-                DynamicGraph(edges), self.num_shards
-            )
+            ins, _ = check_batch(Batch(insertions=edges), self.engine.has_edge)
+            degrees = Counter(chain.from_iterable(ins))
+            balanced = Partitioner.degree_balanced(degrees, self.num_shards)
             self.engine.partitioner = balanced
             self.engine.kernels = [
                 self.engine._make_kernel(s, self.engine.n_hint, k.tracker)
@@ -450,7 +456,7 @@ class Coordinator:
         """
         return self.compose_snapshot(
             self.snapshot_header(),
-            {v: lvl for v, lvl, _ in self.engine._level_items()},
+            {r.id: r.level for r in self.engine._records()},
             self.engine.edges(),
         )
 

@@ -28,9 +28,11 @@ rounds, as ``docs/cost_model.md`` specifies.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .. import faults as _faults
+from ..core.plds import _VertexRecord
 from ..core.query import QueryView
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -381,9 +383,9 @@ class ShardedEngine(QueryView):
     # disjoint, so chaining kernels merges without conflicts and in the
     # same order the old per-engine dict merge produced.
 
-    def _level_items(self):
-        for k in self.kernels:
-            yield from k._level_items()
+    def _records(self) -> Iterable[_VertexRecord]:
+        # Local records only: a ghost is answered by its owner shard.
+        return chain.from_iterable(k._vertices.values() for k in self.kernels)
 
     def _level_deg_of(self, v: int) -> tuple[int, int] | None:
         return self.kernels[self.partitioner.owner(v)]._level_deg_of(v)

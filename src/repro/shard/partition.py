@@ -13,7 +13,7 @@ Two strategies:
   vertices that appear mid-stream are placed without coordination.
 - ``"degree"``: degree-balanced via :meth:`Partitioner.degree_balanced`
   — LPT (longest-processing-time) assignment of vertices in decreasing
-  degree order over a :class:`~repro.graphs.dynamic_graph.DynamicGraph`,
+  degree order over a vertex -> degree map of the initial graph,
   balancing the *accumulated degree* per shard.  The computed assignment
   is explicit; vertices outside it (new arrivals) fall back to hash.
 """
@@ -21,8 +21,6 @@ Two strategies:
 from __future__ import annotations
 
 from typing import Iterable, Mapping
-
-from ..graphs.dynamic_graph import DynamicGraph
 
 __all__ = ["Partitioner"]
 
@@ -83,9 +81,10 @@ class Partitioner:
 
     @classmethod
     def degree_balanced(
-        cls, graph: DynamicGraph, num_shards: int
+        cls, degrees: Mapping[int, int], num_shards: int
     ) -> "Partitioner":
-        """LPT degree-balanced partition of ``graph``'s vertices.
+        """LPT degree-balanced partition of the vertices of ``degrees``
+        (a vertex -> degree map).
 
         Vertices are assigned in decreasing-degree order (ties toward
         the smaller id) to the shard with the smallest accumulated
@@ -96,13 +95,11 @@ class Partitioner:
             raise ValueError("num_shards must be >= 1")
         loads = [0] * num_shards
         assignment: dict[int, int] = {}
-        by_degree = sorted(
-            graph.vertices(), key=lambda v: (-graph.degree(v), v)
-        )
+        by_degree = sorted(degrees, key=lambda v: (-degrees[v], v))
         for v in by_degree:
             s = min(range(num_shards), key=lambda i: (loads[i], i))
             assignment[v] = s
-            loads[s] += graph.degree(v)
+            loads[s] += degrees[v]
         return cls(num_shards, kind="degree", assignment=assignment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

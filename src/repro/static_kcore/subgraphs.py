@@ -46,17 +46,13 @@ def approx_k_core_candidates(plds: PLDS, k: int) -> set[int]:
     included, because a vertex with coreness >= k has estimate
     >= k / factor.  The selection may also include vertices with true
     coreness as low as ``k / factor²`` — it is a superset filter to be
-    refined by exact peeling when needed.
+    refined by exact peeling when needed.  Answered by one level cut
+    (:meth:`~repro.core.query.QueryView.core_members` at
+    ``k / factor - 1e-12``), not by a per-vertex estimate lookup.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    factor = plds.approximation_factor()
-    threshold = k / factor
-    return {
-        v
-        for v in plds.vertices()
-        if plds.coreness_estimate(v) >= threshold - 1e-12
-    }
+    return plds.core_members(k / plds.approximation_factor() - 1e-12)
 
 
 class CoreComponent:

@@ -67,6 +67,20 @@ _ENTRIES = [
     pytest.param(lambda: CoreService("sun", n_hint=_N_HINT), id="svc-sun"),
 ]
 
+#: First loads: a fresh structure's bootstrap entry, which must decide
+#: exactly like a fresh PLDS's first insertion batch.  The degree
+#: partition computes its assignment here, before any shard holds state.
+_FIRST_LOADS = [
+    pytest.param(
+        lambda: Coordinator(_N_HINT, shards=2), id="coord-2-init", marks=_shard
+    ),
+    pytest.param(
+        lambda: Coordinator(_N_HINT, shards=2, partition="degree"),
+        id="coord-2-degree-init",
+        marks=_shard,
+    ),
+]
+
 
 def _load(entry) -> None:
     if isinstance(entry, CoreService):
@@ -117,6 +131,25 @@ class TestOneContract:
         before = _state(entry)
         expected = _apply(reference, batch)
         assert _apply(entry, batch) == expected
+        if expected is None:
+            assert _edge_set(entry) == _edge_set(reference)
+        else:
+            assert _state(entry) == before
+
+    @pytest.mark.parametrize("make", _FIRST_LOADS)
+    @settings(max_examples=80, deadline=None)
+    @given(edges=st.lists(_pairs(_BASE + _ABSENT), max_size=6))
+    def test_same_decision_on_first_load(self, make, edges):
+        reference = PLDS(n_hint=_N_HINT)
+        entry = make()
+        before = _state(entry)
+        expected = _apply(reference, Batch(insertions=edges))
+        try:
+            entry.initialize(edges)
+            decision = None
+        except ValueError as exc:
+            decision = str(exc)
+        assert decision == expected
         if expected is None:
             assert _edge_set(entry) == _edge_set(reference)
         else:

@@ -56,6 +56,7 @@ def _references(batches, algorithm: str, n_hint: int) -> list[dict]:
 
 
 class TestReaderBetweenBatches:
+    @pytest.mark.query
     @pytest.mark.parametrize("algorithm", QUERYVIEW_ALGOS + FALLBACK_ALGOS)
     def test_reader_matches_service_queries(self, algorithm):
         svc = CoreService(algorithm, n_hint=128)
@@ -75,6 +76,7 @@ class TestReaderBetweenBatches:
             assert reader.core_members(1.0).value == svc.core_members(1.0)
             assert reader.core_subgraph(2).value == svc.core_subgraph(2)
 
+    @pytest.mark.query
     def test_reader_densest_estimate_matches_snapshot(self):
         svc = CoreService("pldsopt", n_hint=128)
         svc.apply_batch(Batch(insertions=EDGES))

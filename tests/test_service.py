@@ -101,6 +101,7 @@ class TestQueries:
             assert svc.coreness(v) == cmap[v]
         assert svc.coreness(10**9) == 0.0
 
+    @pytest.mark.query
     def test_core_members_superset_of_true_core(self):
         svc = _loaded_service()
         truth = exact_coreness(EDGES)
@@ -116,6 +117,7 @@ class TestQueries:
         assert vs == {v for v, c in truth.items() if c >= k}
         assert all(u in vs and v in vs for u, v in sub_edges)
 
+    @pytest.mark.query
     def test_exact_engine_core_members(self):
         svc = _loaded_service("zhang")
         truth = exact_coreness(EDGES)

@@ -45,6 +45,7 @@ class TestKCoreSubgraph:
         assert kept == []
 
 
+@pytest.mark.query
 class TestApproxCandidates:
     def test_contains_true_core(self):
         edges = planted_clique(100, 150, 12, seed=3)
