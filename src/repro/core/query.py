@@ -423,7 +423,8 @@ class QueryView(CorenessQueries):
         """Publish the current level image as a new immutable epoch.
 
         ``touched`` names the vertices whose entries may differ from the
-        previous epoch (batch endpoints plus :attr:`last_moved`); their
+        previous epoch (:attr:`last_moved` plus the batch endpoints whose
+        degree crossed zero; see ``CoreService._commit_touched``); their
         entries are re-derived and path-copied into the previous epoch's
         images (:meth:`EpochImage.evolve`), every other chunk shared.
         ``touched=None`` — or a pending :attr:`_levels_reshaped` flag —

@@ -185,30 +185,36 @@ def preprocess_batch(
 ) -> Batch:
     """Deduplicate and validate a raw update sequence against ``graph``.
 
-    Per Section 8: sort by (edge, timestamp), keep the latest update per
-    edge, then keep only insertions of non-existent edges and deletions of
-    existing edges.  Self-loops (invalid in the paper's simple-graph
-    setting) are dropped outright.  Insertions and deletions within the
-    returned batch are therefore disjoint and individually valid.
+    Per Section 8: keep the latest update per edge, then keep only
+    insertions of non-existent edges and deletions of existing edges,
+    in sorted edge order.  Self-loops (invalid in the paper's
+    simple-graph setting) are dropped outright.  Insertions and
+    deletions within the returned batch are therefore disjoint and
+    individually valid.
 
-    Updates sharing both edge and timestamp are ordered by their position
-    in ``updates``, so "latest" deterministically means the one submitted
-    last — without the arrival index, equal-timestamp insert/delete pairs
-    would tie-break on whatever order ``sorted`` received them in.
+    "Latest" is the largest ``(timestamp, arrival position)``: of
+    updates sharing an edge and a timestamp, the one submitted last
+    wins, so equal-timestamp insert/delete pairs resolve
+    deterministically.  One pass in arrival order finds it; only the
+    surviving edges are sorted.
     """
     latest: dict[tuple[int, int], EdgeUpdate] = {}
-    indexed = sorted(
-        enumerate(updates), key=lambda ix: (ix[1].edge, ix[1].timestamp, ix[0])
-    )
-    for _, upd in indexed:
-        if upd.u != upd.v:
-            latest[upd.edge] = upd
+    for upd in updates:
+        u, v = upd.u, upd.v
+        if u == v:
+            continue
+        e = (u, v) if u < v else (v, u)
+        prev = latest.get(e)
+        if prev is None or upd.timestamp >= prev.timestamp:
+            latest[e] = upd
+    has_edge = graph.has_edge
     batch = Batch()
-    for edge, upd in latest.items():
-        if upd.is_insert and not graph.has_edge(*edge):
-            batch.insertions.append(edge)
-        elif not upd.is_insert and graph.has_edge(*edge):
-            batch.deletions.append(edge)
+    for e in sorted(latest):
+        if latest[e].is_insert:
+            if not has_edge(*e):
+                batch.insertions.append(e)
+        elif has_edge(*e):
+            batch.deletions.append(e)
     return batch
 
 

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .. import faults as _faults
 from .admission import Admission, AdmissionController, AdmissionPolicy, LoadSignals
@@ -279,17 +280,24 @@ class ServiceReader:
 
         0 between batches; 1 while a batch (or its rollback/retry) is
         in flight — never more, which is the wait-free staleness bound
-        the mvcc checker test pins.
+        the mvcc checker test pins.  Never negative: a publication
+        records the committed count, which only a restore lowers, and a
+        restore republishes before any read can interleave.
         """
         svc = self._service
-        head = svc.batches_applied + (1 if svc._in_flight else 0)
-        return max(0, head - svc._published.batches_applied)
+        return svc.batches_applied + svc._in_flight - svc._published.batches_applied
 
-    def _read(self, query: str, fn):
+    def _read(self, query: str, fn, *args) -> "ReadResult":
+        """Serve ``fn(view, *args)`` from the published epoch.
+
+        ``fn`` is an unbound :class:`EpochSnapshot` method, so an epoch
+        query builds no closure (only :meth:`core_subgraph`, which peels
+        the committed edges, does); the answer is wrapped positionally
+        in a :class:`ReadResult`.
+        """
         svc = self._service
         view = svc._published
-        head = svc.batches_applied + (1 if svc._in_flight else 0)
-        stale = max(0, head - view.batches_applied)
+        stale = svc.batches_applied + svc._in_flight - view.batches_applied
         degraded = svc.degraded or view.degraded
         mreg = _metrics.ACTIVE
         if mreg is not None:
@@ -297,7 +305,7 @@ class ServiceReader:
             mreg.observe("service.read_staleness", stale)
         tracer = _tracing.ACTIVE
         if tracer is None:
-            value = fn(view)
+            value = fn(view, *args)
         else:
             with tracer.span(
                 "read.snapshot",
@@ -306,31 +314,27 @@ class ServiceReader:
                 epoch=view.epoch,
                 staleness=stale,
             ):
-                value = fn(view)
-        return ReadResult(
-            value=value, epoch=view.epoch, staleness=stale, degraded=degraded
-        )
+                value = fn(view, *args)
+        return _new_result(ReadResult, (value, view.epoch, stale, degraded))
 
     def coreness(self, v: int) -> "ReadResult":
-        return self._read("coreness", lambda view: view.coreness(v))
+        return self._read("coreness", EpochSnapshot.coreness, v)
 
     def coreness_map(self) -> "ReadResult":
-        return self._read("coreness_map", lambda view: view.coreness_map())
+        return self._read("coreness_map", EpochSnapshot.coreness_map)
 
     def core_members(self, k: float) -> "ReadResult":
-        return self._read("core_members", lambda view: view.core_members(k))
+        return self._read("core_members", EpochSnapshot.core_members, k)
 
     def core_subgraph(self, k: int) -> "ReadResult":
         svc = self._service
         return self._read("core_subgraph", lambda view: svc.core_subgraph(k))
 
     def densest_estimate(self) -> "ReadResult":
-        return self._read(
-            "densest_estimate", lambda view: view.densest_estimate()
-        )
+        return self._read("densest_estimate", EpochSnapshot.densest_estimate)
 
     def level(self, v: int) -> "ReadResult":
-        return self._read("level", lambda view: view.level(v))
+        return self._read("level", EpochSnapshot.level, v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -339,9 +343,13 @@ class ServiceReader:
         )
 
 
-@dataclass(frozen=True)
-class ReadResult:
-    """One wait-free read: the value plus its consistency metadata."""
+class ReadResult(NamedTuple):
+    """One wait-free read: the value plus its consistency metadata.
+
+    A tuple type: it unpacks as ``value, epoch, staleness, degraded``
+    and compares equal to the plain 4-tuple; attribute assignment
+    raises ``AttributeError``.
+    """
 
     value: Any
     #: epoch serial the value was served from.
@@ -350,6 +358,11 @@ class ReadResult:
     staleness: int
     #: the service's degradation flag at read time.
     degraded: bool
+
+
+#: Positional construction without the generated ``__new__`` frame
+#: (what ``NamedTuple._make`` does, minus its length check).
+_new_result = tuple.__new__
 
 
 class CoreService:
@@ -817,21 +830,33 @@ class CoreService:
         return view
 
     def _commit_touched(self, batch: Batch) -> "set[int] | None":
-        """Vertices whose epoch entries this commit may change: the
-        batch's endpoints plus the engine's :attr:`last_moved` set —
-        or ``None`` (publish fully) when the engine cannot bound its
-        moves (rebuild happened, or it is not a QueryView engine)."""
+        """Vertices whose epoch entries this commit may change — or
+        ``None`` (publish fully) when the engine cannot bound its moves
+        (rebuild happened, or it is not a QueryView engine).
+
+        An entry is a level plus an estimate that depends only on the
+        level and on whether the degree is zero.  Levels change only by
+        moves, so the set is the engine's :attr:`last_moved` plus the
+        endpoints whose degree crossed zero: insertion endpoints the
+        previous image holds at estimate 0.0 or not at all, and deletion
+        endpoints now at degree 0.  Both tests run here, at commit, so
+        an engine driven without a service pays nothing for them."""
         impl = self._driver.plds if self._driver is not None else self._adapter.impl
         moved = getattr(impl, "last_moved", None)
         if moved is None:
             return None
         touched = set(moved)
-        for u, v in batch.insertions:
-            touched.add(u)
-            touched.add(v)
-        for u, v in batch.deletions:
-            touched.add(u)
-            touched.add(v)
+        # The image the engine's publish path-copies from; every
+        # non-zero estimate is at least (1+δ)^0 = 1.0.
+        before = impl.read_view().estimates
+        for v in chain.from_iterable(batch.insertions):
+            if not before.get(v):
+                touched.add(v)
+        level_deg = impl._level_deg_of
+        for v in chain.from_iterable(batch.deletions):
+            pair = level_deg(v)
+            if pair is None or pair[1] == 0:
+                touched.add(v)
         return touched
 
     def _restore_point(self) -> dict | None:

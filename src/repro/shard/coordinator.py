@@ -168,6 +168,9 @@ class Coordinator:
     def coreness_estimate(self, v: int) -> float:
         return self.engine.coreness_estimate(v)
 
+    def _level_deg_of(self, v: int) -> tuple[int, int] | None:
+        return self.engine._level_deg_of(v)
+
     def coreness_estimates(self) -> dict[int, float]:
         return self.engine.coreness_estimates()
 
@@ -402,11 +405,11 @@ class Coordinator:
         Call only at a quiescent commit point (between batches).  The
         engine's own :meth:`~repro.core.query.QueryView.publish_epoch`
         path-copies one image gathered over the owner kernels (only
-        chunks holding a ``touched`` vertex — batch endpoints plus
-        :attr:`last_moved` — are copied), and every kernel's epoch
-        serial advances with it, so the recorded ``shard_epochs`` vector
-        names exactly the shard states the image was read from.  A
-        reshape anywhere — the engine-coordinated rebuild (which
+        chunks holding a ``touched`` vertex — :attr:`last_moved` plus
+        the batch endpoints whose degree crossed zero — are copied), and
+        every kernel's epoch serial advances with it, so the recorded
+        ``shard_epochs`` vector names exactly the shard states the image
+        was read from.  A reshape anywhere — the engine-coordinated rebuild (which
         recreates every kernel and restarts its serial), or a
         kernel-level vertex insert/delete — forces a full publish.
 

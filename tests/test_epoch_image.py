@@ -180,3 +180,74 @@ def test_kernel_reshape_forces_full_sharded_publish():
     assert v not in first.levels and snap.levels[v] == 0
     assert snap.shard_epochs == (2, 2, 2)
     assert coord.read_epoch == snap.epoch == first.epoch + 1
+
+
+# ---------------------------------------------------------------------------
+# Incremental publication equals a full publish
+# ---------------------------------------------------------------------------
+
+_N = 12
+
+_ENGINES = [
+    pytest.param("plds", {}, id="plds"),
+    pytest.param("pldsopt", {}, id="pldsopt"),
+    pytest.param("lds", {}, id="lds"),
+] + [
+    pytest.param("plds-sharded", {"shards": s}, id=f"plds-sharded-{s}")
+    for s in (1, 4)
+]
+
+_pair = st.tuples(st.integers(0, _N - 1), st.integers(0, _N - 1))
+#: A clique size, then batches of (toggled pairs, vertices to isolate):
+#: absent pairs are inserted, present ones deleted, and every live edge
+#: of an isolated vertex is deleted — so vertices fall to degree 0 and
+#: later toggles bring them back.
+_streams = st.tuples(
+    st.integers(0, _N),
+    st.lists(
+        st.tuples(
+            st.lists(_pair, max_size=10),
+            st.lists(st.integers(0, _N - 1), max_size=3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+def _stream_batches(stream) -> list[Batch]:
+    clique, steps = stream
+    first = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    live = set(first)
+    out = [Batch(insertions=first)]
+    for pairs, isolate in steps:
+        ins: dict[tuple[int, int], None] = {}
+        dels: dict[tuple[int, int], None] = {}
+        for u, v in pairs:
+            if u != v:
+                e = (min(u, v), max(u, v))
+                (dels if e in live else ins)[e] = None
+        for x in isolate:
+            for e in live:
+                if x in e:
+                    dels[e] = None
+        live |= set(ins)
+        live -= set(dels)
+        out.append(Batch(insertions=list(ins), deletions=list(dels)))
+    return out
+
+
+@pytest.mark.parametrize("algorithm, kwargs", _ENGINES)
+@settings(max_examples=40, deadline=None)
+@given(stream=_streams)
+def test_incremental_publish_equals_full_publish(algorithm, kwargs, stream):
+    svc = CoreService(algorithm, n_hint=_N, **kwargs)
+    engine = svc.engine
+    records = engine.engine if isinstance(engine, Coordinator) else engine
+    for batch in _stream_batches(stream):
+        svc.apply_batch(batch)
+        published = svc._published
+        assert dict(published.estimates) == engine.coreness_estimates()
+        assert dict(published.levels) == {
+            r.id: r.level for r in records._records()
+        }

@@ -26,6 +26,7 @@ from repro.bench.chaos import (
 )
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch, deletion_batches, insertion_batches
+from repro.obs import metrics, tracing
 from repro.registry import algorithm_keys, algorithm_spec
 from repro.service import AuditPolicy, CoreService, ReadResult, RetryPolicy
 from repro.shard.coordinator import Coordinator
@@ -73,7 +74,14 @@ class TestReaderBetweenBatches:
             assert r.epoch == reader.epoch
             v = max(r.value, key=r.value.get)
             assert reader.coreness(v).value == svc.coreness(v)
+            # k = 1.0 is the one threshold where the reader's plain rule
+            # and the service's Lemma-5.13 filter (PLDS family) coincide:
+            # both cut at the first group, every non-zero-degree vertex.
             assert reader.core_members(1.0).value == svc.core_members(1.0)
+            # Above the first group only the reader's own contract holds.
+            for k in {*r.value.values(), 2.0}:
+                want = {u for u, c in r.value.items() if c >= k}
+                assert reader.core_members(k).value == want, k
             assert reader.core_subgraph(2).value == svc.core_subgraph(2)
 
     @pytest.mark.query
@@ -97,6 +105,93 @@ class TestReaderBetweenBatches:
         # The old epoch still answers exactly as it did when published.
         assert dict(view.estimates) == frozen
         assert view.edges == edges != svc._edges
+
+
+# ---------------------------------------------------------------------------
+# Read hooks: one counter, one staleness observation, one span per read
+# ---------------------------------------------------------------------------
+
+_READS = [
+    ("coreness", (0,)),
+    ("coreness_map", ()),
+    ("core_members", (1.0,)),
+    ("core_subgraph", (2,)),
+    ("densest_estimate", ()),
+    ("level", (0,)),
+]
+
+
+def _spans(roots, name: str) -> list:
+    found, stack = [], list(roots)
+    while stack:
+        span = stack.pop()
+        if span.name == name:
+            found.append(span)
+        stack.extend(span.children)
+    return found
+
+
+class _ResultProbePlan(ReadProbePlan):
+    """Reads a point through the reader at every faultpoint."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.results: list[ReadResult] = []
+
+    def hit(self, site: str) -> None:
+        if self.reader is not None:
+            self.results.append(self.reader.coreness(0))
+        super().hit(site)
+
+
+@pytest.mark.obs
+class TestReadHooks:
+    @pytest.mark.parametrize("query, args", _READS, ids=[q for q, _ in _READS])
+    def test_each_read_fires_every_hook_once(self, query, args):
+        svc = CoreService("pldsopt", n_hint=128)
+        svc.apply_batch(Batch(insertions=EDGES))
+        reader = svc.reader()
+        with metrics.collecting() as mreg, tracing.tracing() as tracer:
+            r = getattr(reader, query)(*args)
+        assert mreg.counter_series("service.reads") == {
+            (("query", query),): 1
+        }
+        assert mreg.histogram_count("service.read_staleness") == 1
+        (span,) = _spans(tracer.roots, "read.snapshot")
+        assert span.attrs == {
+            "query": query, "epoch": r.epoch, "staleness": r.staleness
+        }
+        assert (r.epoch, r.staleness, r.degraded) == (reader.epoch, 0, False)
+
+    def test_mid_batch_read_reports_staleness_one(self):
+        svc = CoreService("pldsopt", n_hint=128)
+        batches = insertion_batches(EDGES, 60, seed=3)
+        svc.apply_batch(batches[0])
+        epoch = svc.reader().epoch
+        plan = _ResultProbePlan()
+        plan.bind(svc)
+        with metrics.collecting() as mreg, tracing.tracing() as tracer:
+            with faults.active(plan):
+                svc.apply_batch(batches[1])
+        results = plan.results
+        assert results, "batch traversed no faultpoints"
+        assert {(r.epoch, r.staleness) for r in results} == {(epoch, 1)}
+        assert mreg.counter_value("service.reads", query="coreness") == len(
+            results
+        )
+        assert mreg.histogram_count("service.read_staleness") == len(results)
+        spans = _spans(tracer.roots, "read.snapshot")
+        assert [s.attrs["staleness"] for s in spans] == [1] * len(results)
+
+    def test_read_result_is_an_immutable_tuple(self):
+        svc = CoreService("pldsopt", n_hint=128)
+        svc.apply_batch(Batch(insertions=EDGES))
+        r = svc.reader().coreness(0)
+        with pytest.raises(AttributeError):
+            r.value = 99.0  # type: ignore[misc]
+        value, epoch, staleness, degraded = r
+        assert r == (value, epoch, staleness, degraded)
+        assert r == ReadResult(value, epoch, staleness, degraded)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.streams import (
@@ -135,3 +138,46 @@ class TestPreprocessBatch:
             g, (EdgeUpdate(i, i + 1, True, timestamp=i) for i in range(3))
         )
         assert sorted(batch.insertions) == [(0, 1), (1, 2), (2, 3)]
+
+
+def _sorting_preprocess(graph, updates) -> Batch:
+    """The sort-based reference: order every update by (edge, timestamp,
+    arrival), keep the last per edge, then validate against ``graph``."""
+    latest = {}
+    indexed = sorted(
+        enumerate(updates), key=lambda ix: (ix[1].edge, ix[1].timestamp, ix[0])
+    )
+    for _, upd in indexed:
+        if upd.u != upd.v:
+            latest[upd.edge] = upd
+    batch = Batch()
+    for edge, upd in latest.items():
+        if upd.is_insert and not graph.has_edge(*edge):
+            batch.insertions.append(edge)
+        elif not upd.is_insert and graph.has_edge(*edge):
+            batch.deletions.append(edge)
+    return batch
+
+
+_vertex = st.integers(0, 7)
+#: Few vertices and timestamps, so duplicates, reversed pairs, self-loops
+#: and equal-timestamp ties are all common.
+_raw_updates = st.lists(
+    st.builds(EdgeUpdate, _vertex, _vertex, st.booleans(), st.integers(0, 3)),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    present=st.sets(
+        st.tuples(_vertex, _vertex).filter(lambda e: e[0] < e[1]), max_size=15
+    ),
+    updates=_raw_updates,
+)
+def test_preprocess_matches_sorting_reference(present, updates):
+    g = DynamicGraph(sorted(present))
+    got = preprocess_batch(g, updates)
+    want = _sorting_preprocess(g, updates)
+    assert got.insertions == want.insertions
+    assert got.deletions == want.deletions
