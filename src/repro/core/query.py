@@ -244,17 +244,14 @@ class EpochSnapshot(CorenessQueries):
     own, and consecutive epochs share every chunk the commit between
     them left alone.  Engine-level epochs carry just the level
     image; service-level epochs additionally carry the batch horizon
-    and the degradation flag, and sharded engines record the per-shard
-    epoch vector that was scatter-gathered at the commit point.  Epochs
-    are published without edges; :attr:`repro.service.ServiceReader.view`
-    pins the committed edge set on request, once per epoch.
+    and the degradation flag.  Epochs are published without edges;
+    :attr:`repro.service.ServiceReader.view` pins the committed edge set
+    on request, once per epoch.
     """
 
     epoch: int
     estimates: EpochImage[float] = field(repr=False)
     levels: EpochImage[int] = field(repr=False)
-    #: stable per-shard epoch vector (sharded engines only).
-    shard_epochs: tuple[int, ...] | None = None
     #: committed batches reflected by this epoch (service-level).
     batches_applied: int = 0
     #: was the service degraded when this epoch was published?

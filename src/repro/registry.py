@@ -217,9 +217,11 @@ class AlgorithmSpec:
         replaying the edge set.
     sharded:
         Whether the engine is a partitioned multi-shard structure (the
-        scatter-gather :class:`~repro.shard.Coordinator`).  The shard
+        scatter-gather :class:`~repro.shard.Coordinator`, which owns
+        its shard kernels and ghost directory directly).  The shard
         count itself is a construction parameter (``make_adapter``'s
-        ``shards``); inspect ``adapter.impl.num_shards`` at runtime.
+        ``shards``); inspect ``adapter.impl.num_shards`` (or
+        ``adapter.impl.kernels``) at runtime.
     async_reads:
         Whether the engine exposes the path-copied epoch surface
         (:class:`~repro.core.query.QueryView` — ``publish_epoch`` /

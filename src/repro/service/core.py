@@ -63,9 +63,15 @@ from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import timeline as _timeline
 from ..obs import tracing as _tracing
-from ..core.invariants import plds_invariant_violations, structure_matches_edges
+from ..core.invariants import structure_matches_edges
 from ..core.plds import PLDS
-from ..core.query import EMPTY_EPOCH, CorenessQueries, EpochImage, EpochSnapshot
+from ..core.query import (
+    EMPTY_EPOCH,
+    CorenessQueries,
+    EpochImage,
+    EpochSnapshot,
+    QueryView,
+)
 from ..faults import InjectedFault
 from ..graphs import canonical_edge
 from ..graphs.streams import (
@@ -77,7 +83,6 @@ from ..graphs.streams import (
 )
 from ..parallel.engine import Cost
 from ..parallel.scheduler import BrentScheduler
-from ..shard import Coordinator
 from ..registry import (
     DynamicKCoreAdapter,
     algorithm_spec,
@@ -479,8 +484,9 @@ class CoreService:
         Observability consumers (``repro metrics``, dashboards) read
         level/group occupancy off this; mutating it bypasses the
         journal and the committed edge set and is undefined behavior.
+        An application's driver shares its PLDS with the adapter.
         """
-        return self._driver.plds if self._driver is not None else self._adapter.impl
+        return self._adapter.impl
 
     @property
     def total_cost(self) -> Cost:
@@ -697,8 +703,7 @@ class CoreService:
         return entry
 
     def _tracker(self):
-        impl = self._driver.plds if self._driver is not None else self._adapter.impl
-        return impl.tracker
+        return self._adapter.impl.tracker
 
     # -- admission-controlled serving (overload safety) ------------------
 
@@ -771,7 +776,7 @@ class CoreService:
         is sharded (a stalled shard inflates its scatter depth, so lag =
         slowest − fastest shard depth spikes), else stay 0.
         """
-        impl = self._driver.plds if self._driver is not None else self._adapter.impl
+        impl = self._adapter.impl
         depth = self.telemetry[-1].depth if self.telemetry else 0
         rounds = int(getattr(impl, "last_rounds", 0))
         lag_fn = getattr(impl, "shard_lag", None)
@@ -794,23 +799,19 @@ class CoreService:
 
         Engines exposing the :class:`~repro.core.query.QueryView`
         surface publish by path copying (only the chunks of ``touched``
-        entries are copied and re-derived; the sharded coordinator
-        additionally records its stable per-shard epoch vector);
-        everything else — including the
-        exact static engine the degradation ladder falls back to — is
+        entries are copied and re-derived); everything else — including
+        the exact static engine the degradation ladder falls back to — is
         published from a full estimate sweep.  No edges are copied (see
         :attr:`ServiceReader.view`).  Callers must sit at a commit point:
         the journal commit, a degradation rebuild's end, or a snapshot
         restore.
         """
-        impl = self._driver.plds if self._driver is not None else self._adapter.impl
+        impl = self._adapter.impl
         publish = getattr(impl, "publish_epoch", None)
-        shard_epochs = None
         if publish is not None:
             snap = publish(touched)
             estimates = snap.estimates
             levels = snap.levels
-            shard_epochs = snap.shard_epochs
         else:
             estimates = EpochImage(self._adapter.estimates())
             levels = EpochImage()
@@ -819,7 +820,6 @@ class CoreService:
             epoch=self.read_epoch,
             estimates=estimates,
             levels=levels,
-            shard_epochs=shard_epochs,
             batches_applied=self.batches_applied,
             degraded=self.degraded,
         )
@@ -841,7 +841,7 @@ class CoreService:
         previous image holds at estimate 0.0 or not at all, and deletion
         endpoints now at degree 0.  Both tests run here, at commit, so
         an engine driven without a service pays nothing for them."""
-        impl = self._driver.plds if self._driver is not None else self._adapter.impl
+        impl = self._adapter.impl
         moved = getattr(impl, "last_moved", None)
         if moved is None:
             return None
@@ -898,33 +898,22 @@ class CoreService:
     def audit(self) -> list[str]:
         """Audit the live engine against the committed edge set.
 
-        For the PLDS family (including the sequential LDS) this runs the
-        full structural check: Invariants 1–2 and U/L bookkeeping
-        (:func:`~repro.core.invariants.plds_invariant_violations`) plus
-        edge-set agreement with the committed edges
-        (:func:`~repro.core.invariants.structure_matches_edges`).
-        Sharded engines audit shard by shard: each problem the
-        coordinator's ``check_invariants`` reports is prefixed with the
-        offending shard id, and the per-shard edge unions must agree
-        with the committed edges exactly.  Engines without a checkable level
-        structure audit vacuously.  Returns human-readable violations;
-        empty list means healthy.
+        For the level-structure engines (the PLDS family, including the
+        sequential LDS, and the sharded coordinator) this runs the
+        engine's ``check_invariants`` — Invariants 1–2 and U/L
+        bookkeeping, which the coordinator runs shard by shard (each
+        problem prefixed with the offending shard id) before auditing
+        its ghost directory — plus edge-set agreement with the committed
+        edges (:func:`~repro.core.invariants.structure_matches_edges`).
+        Engines without a checkable level structure audit vacuously.
+        Returns human-readable violations; empty list means healthy.
         """
-        impl = self._driver.plds if self._driver is not None else self._adapter.impl
-        return self._audit_impl(impl)
+        return self._audit_impl(self._adapter.impl)
 
     def _audit_impl(self, impl: Any) -> list[str]:
-        if isinstance(impl, PLDS):
-            problems = list(plds_invariant_violations(impl))
-            problems.extend(
-                structure_matches_edges(impl, self._edges)
-            )
-            return problems
-        if hasattr(impl, "check_invariants") and hasattr(impl, "edges"):
-            # Sharded coordinator (and any future engine exposing the
-            # same audit surface): per-shard invariant sweep plus
-            # edge-set agreement of the shard union with the committed
-            # edges.
+        if isinstance(impl, QueryView):
+            # The PLDS family and the sharded coordinator (whose check
+            # sweeps every shard plus the ghost directory).
             problems = list(impl.check_invariants())
             problems.extend(
                 structure_matches_edges(impl, self._edges)
@@ -1043,7 +1032,7 @@ class CoreService:
             from ..static_kcore.subgraphs import approx_k_core_candidates
 
             return approx_k_core_candidates(impl, k)
-        if isinstance(impl, (PLDS, Coordinator)):
+        if isinstance(impl, QueryView):
             return impl.core_members(k)
         return {v for v, c in self.coreness_map().items() if c >= k}
 

@@ -4,18 +4,17 @@
   vertex ownership;
 - :class:`~repro.shard.kernel.ShardKernel` — shard-local PLDS cascade
   kernel with ghost-level replicas;
-- :class:`~repro.shard.engine.ShardedEngine` — edge routing, ghost
-  directory, message-round cascades, coordinated rebuilds;
 - :class:`~repro.shard.coordinator.Coordinator` — the registry-facing
-  scatter-gather front (``plds-sharded``).
+  engine (``plds-sharded``): edge routing with shard-level fault
+  isolation, the ghost directory, message-round cascades, coordinated
+  rebuilds, gathered queries and read epochs.
 
 See ``docs/architecture.md`` (sharding section) for the design and
 ``docs/cost_model.md`` for the ghost-exchange depth accounting.
 """
 
 from .coordinator import Coordinator
-from .engine import ShardedEngine
 from .kernel import ShardKernel
 from .partition import Partitioner
 
-__all__ = ["Coordinator", "Partitioner", "ShardKernel", "ShardedEngine"]
+__all__ = ["Coordinator", "Partitioner", "ShardKernel"]

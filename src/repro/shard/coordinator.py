@@ -1,11 +1,37 @@
-"""Scatter-gather coordinator for the sharded PLDS engine.
+"""Sharded PLDS engine: scatter-gather over per-shard kernels.
 
-The :class:`Coordinator` is the registry-facing front of
-:mod:`repro.shard` (the ``plds-sharded`` algorithm key): it owns a
-:class:`~repro.shard.engine.ShardedEngine`, validates every batch once
-at the boundary, scatters the routed edges to owner shards with
-**shard-level fault isolation**, drives the ghost-exchange cascade
-rounds to quiescence, and gathers query answers.
+The :class:`Coordinator` is the registry-facing engine of
+:mod:`repro.shard` (the ``plds-sharded`` algorithm key).  It owns one
+:class:`~repro.shard.kernel.ShardKernel` per shard plus the two pieces
+of cross-shard state:
+
+- the **ghost directory** ``vertex -> {shards holding a ghost of it}``,
+  which routes a vertex's move events to exactly the shards that mirror
+  it (the owner is never in the set);
+- the **rebuild** policy: the Section-5.9 trigger reads the *global*
+  vertex count and re-sizes every kernel to the same global ``n_hint``,
+  because the per-level threshold tables are a function of ``n_hint``
+  and must match the monolithic PLDS for bit-identical rise/desaturate
+  decisions.
+
+It validates every batch once at the boundary, scatters the routed
+edges to owner shards with **shard-level fault isolation**, drives the
+ghost-exchange cascade rounds to quiescence, and answers queries and
+publishes read epochs as a :class:`~repro.core.query.QueryView` host
+over the kernels' local records (never their ghosts).
+
+Cost accounting: :attr:`Coordinator.tracker` is the authoritative meter
+(the one the registry adapter and the service read).  Kernels meter
+into private per-shard trackers; each phase is folded in as
+
+    ``work  = sum(shard deltas) [+ messages]``
+    ``depth = max(shard deltas) [+ ghost-exchange depth]``
+
+i.e. shards run in parallel (max over the per-shard critical paths)
+and each message round pays ``max(apply depths) + ceil(log2 messages)
++ 1`` for the exchange barrier — the simulated ``T_p`` therefore
+accounts for the max-over-shards critical path plus the ghost-exchange
+rounds, as ``docs/cost_model.md`` specifies.
 
 Fault isolation ladder (bottom rung first):
 
@@ -35,19 +61,18 @@ service answers ``core_members`` here with the plain ``estimate >= k``
 rule, not the Lemma-5.13 candidate filter it uses on the PLDS family;
 either way the answer is one level cut
 (:meth:`~repro.core.query.QueryView.level_cut`) over each kernel's
-local records, never its ghosts.
+local records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .. import faults as _faults
-from ..core.plds import UpdateResult
-from ..core.query import EMPTY_EPOCH, EpochSnapshot
+from ..core.plds import UpdateResult, _VertexRecord
+from ..core.query import EpochSnapshot, QueryView
 from ..faults import InjectedFault
 from ..graphs.streams import Batch, check_batch
 from ..obs import metrics as _metrics
@@ -55,15 +80,14 @@ from ..obs import recorder as _recorder
 from ..obs import tracing as _tracing
 from ..parallel.engine import WorkDepthTracker
 from ..parallel.primitives import log2_ceil
-from .engine import ShardedEngine
-from .kernel import ShardKernel
+from .kernel import MoveEvent, ShardKernel
 from .partition import Partitioner
 
 __all__ = ["Coordinator"]
 
 
-class Coordinator:
-    """Scatter-gather front for the partitioned PLDS engine.
+class Coordinator(QueryView):
+    """Partitioned PLDS: per-shard kernels, ghost directory, rounds.
 
     Parameters mirror :class:`~repro.core.plds.PLDS` where they are
     forwarded to every kernel, plus:
@@ -109,85 +133,45 @@ class Coordinator:
         self.partition = partition
         self.shard_retry_limit = shard_retry_limit
         kind = "degree" if assignment is not None and partition == "degree" else "hash"
-        partitioner = Partitioner(shards, kind=kind, assignment=assignment)
-        self.engine = ShardedEngine(
-            n_hint,
-            partitioner,
-            delta=delta,
-            lam=lam,
-            group_shrink=group_shrink,
-            upper_coeff=upper_coeff,
-            tracker=tracker,
-            insertion_strategy=insertion_strategy,
-            structure=structure,
-        )
+        self.partitioner = Partitioner(shards, kind=kind, assignment=assignment)
+        self.num_shards = shards
+        self.n_hint = max(2, n_hint)
+        self.delta = delta
+        self.lam = lam
+        self.group_shrink = group_shrink
+        self.upper_coeff = upper_coeff
+        self.insertion_strategy = insertion_strategy
+        self.structure = structure
+        self.tracker = tracker if tracker is not None else WorkDepthTracker()
+        self.kernels: list[ShardKernel] = [
+            self._make_kernel(s, self.n_hint, None) for s in range(shards)
+        ]
+        #: ghost directory: vertex -> shards holding a ghost of it.
+        self._ghost_sites: dict[int, set[int]] = {}
         self._initialized = False
         #: O(log #shards) scatter/gather combining depth per batch phase.
         self._route_depth = log2_ceil(max(2, shards)) + 1
-        #: epoch store (see :meth:`publish_epoch`).
-        self._published: EpochSnapshot | None = None
-        #: vertices moved by the last update(); ``None`` = publish fully.
-        self.last_moved: set[int] | None = None
-        self._levels_reshaped = False
         #: overload signals from the last batch: cascade rounds and the
         #: per-shard scatter depth vector (admission-control inputs).
         self.last_rounds = 0
-        self.last_shard_depths: list[int] = [0] * self.num_shards
+        self.last_shard_depths: list[int] = [0] * shards
 
-    # -- conveniences ---------------------------------------------------
-
-    @property
-    def tracker(self) -> WorkDepthTracker:
-        return self.engine.tracker
-
-    @property
-    def num_shards(self) -> int:
-        return self.engine.num_shards
-
-    @property
-    def partitioner(self) -> Partitioner:
-        return self.engine.partitioner
-
-    @property
-    def num_edges(self) -> int:
-        return self.engine.num_edges
-
-    @property
-    def num_vertices(self) -> int:
-        return self.engine.num_vertices
-
-    def edges(self):
-        return self.engine.edges()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.engine.has_edge(u, v)
-
-    def level(self, v: int) -> int:
-        return self.engine.level(v)
-
-    def coreness_estimate(self, v: int) -> float:
-        return self.engine.coreness_estimate(v)
-
-    def _level_deg_of(self, v: int) -> tuple[int, int] | None:
-        return self.engine._level_deg_of(v)
-
-    def coreness_estimates(self) -> dict[int, float]:
-        return self.engine.coreness_estimates()
-
-    def core_members(self, k: float) -> set[int]:
-        return self.engine.core_members(k)
-
-    def core_subgraph(self, k: int) -> tuple[set[int], list[tuple[int, int]]]:
-        return self.engine.core_subgraph(k)
-
-    def densest_estimate(self) -> tuple[float, set[int]]:
-        return self.engine.densest_estimate()
-
-    def space_bytes(self) -> int:
-        return self.engine.space_bytes()
-
-    def check_invariants(self) -> list[str]:
-        return self.engine.check_invariants()
+    def _make_kernel(
+        self, s: int, n_hint: int, kernel_tracker: WorkDepthTracker | None
+    ) -> ShardKernel:
+        owner = self.partitioner.owner
+        return ShardKernel(
+            shard_id=s,
+            owns=lambda v, s=s: owner(v) == s,
+            n_hint=n_hint,
+            delta=self.delta,
+            lam=self.lam,
+            group_shrink=self.group_shrink,
+            upper_coeff=self.upper_coeff,
+            tracker=kernel_tracker,
+            insertion_strategy=self.insertion_strategy,
+            structure=self.structure,
+        )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -206,16 +190,15 @@ class Coordinator:
         if (
             not self._initialized
             and self.partition == "degree"
-            and self.engine.num_vertices == 0
+            and self.num_vertices == 0
             and edges
         ):
-            ins, _ = check_batch(Batch(insertions=edges), self.engine.has_edge)
+            ins, _ = check_batch(Batch(insertions=edges), self.has_edge)
             degrees = Counter(chain.from_iterable(ins))
-            balanced = Partitioner.degree_balanced(degrees, self.num_shards)
-            self.engine.partitioner = balanced
-            self.engine.kernels = [
-                self.engine._make_kernel(s, self.engine.n_hint, k.tracker)
-                for s, k in enumerate(self.engine.kernels)
+            self.partitioner = Partitioner.degree_balanced(degrees, self.num_shards)
+            self.kernels = [
+                self._make_kernel(s, self.n_hint, k.tracker)
+                for s, k in enumerate(self.kernels)
             ]
         self._initialized = True
         if edges:
@@ -245,20 +228,22 @@ class Coordinator:
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
         self.tracker.add(work=max(1, len(batch)), depth=5)
-        ins, dels = check_batch(batch, self.engine.has_edge)
+        ins, dels = check_batch(batch, self.has_edge)
         result = UpdateResult()
-        engine = self.engine
         self.last_rounds = 0
         self.last_shard_depths = [0] * self.num_shards
         if ins:
             self._scatter(ins, insert=True)
-            rounds, _ = engine.cascade_rounds("rise")
+            rounds, _ = self.cascade_rounds("rise")
             self.last_rounds += rounds
         if dels:
             self._scatter(dels, insert=False)
-            rounds, _ = engine.cascade_rounds("desaturate")
+            rounds, _ = self.cascade_rounds("desaturate")
             self.last_rounds += rounds
-        result.moved_vertices = engine.take_moved()
+        moved: set[int] = set()
+        for k in self.kernels:
+            moved |= k.take_moved()
+        result.moved_vertices = moved
         mreg = _metrics.ACTIVE
         if mreg is not None:
             mreg.gauge("shard.lag", self.shard_lag())
@@ -282,22 +267,75 @@ class Coordinator:
             return active[0]
         return max(active) - min(active)
 
+    # -- routing and the ghost directory --------------------------------
+
+    def _route(
+        self, edges: Iterable[tuple[int, int]]
+    ) -> list[list[tuple[int, int, bool]]]:
+        """Route canonical edges to owner shards.
+
+        Each edge goes to the owners of *both* endpoints (once when they
+        coincide); ``counted`` is ``True`` only for the min-endpoint
+        owner, preserving the global edge count across shards.
+        """
+        owner = self.partitioner.owner
+        items: list[list[tuple[int, int, bool]]] = [
+            [] for _ in range(self.num_shards)
+        ]
+        for u, v in edges:
+            su = owner(u)
+            sv = owner(v)
+            items[su].append((u, v, True))
+            if sv != su:
+                items[sv].append((u, v, False))
+        return items
+
+    def _ghost_levels(
+        self, edges: Iterable[tuple[int, int]]
+    ) -> dict[int, int]:
+        """Current owner-side level of every endpoint in ``edges`` (for
+        materializing up-to-date ghosts during an insertion scatter)."""
+        owner = self.partitioner.owner
+        kernels = self.kernels
+        levels: dict[int, int] = {}
+        for u, v in edges:
+            if u not in levels:
+                levels[u] = kernels[owner(u)].level(u)
+            if v not in levels:
+                levels[v] = kernels[owner(v)].level(v)
+        return levels
+
+    def _register_ghosts(self, shard: int, ids: Iterable[int]) -> None:
+        for v in ids:
+            sites = self._ghost_sites.get(v)
+            if sites is None:
+                self._ghost_sites[v] = {shard}
+            else:
+                sites.add(shard)
+
+    def _drop_ghosts(self, shard: int, ids: Iterable[int]) -> None:
+        for v in ids:
+            sites = self._ghost_sites.get(v)
+            if sites is not None:
+                sites.discard(shard)
+                if not sites:
+                    del self._ghost_sites[v]
+
     # -- fault-isolated scatter ----------------------------------------
 
     def _scatter(self, edges: dict[tuple[int, int], None], insert: bool) -> None:
         """Route ``edges`` and apply each shard's items under shard-level
-        fault isolation; fold per-shard metering into the engine tracker
+        fault isolation; fold per-shard metering into :attr:`tracker`
         (parallel shards: sum work, max depth).  Ghost-directory commits
         happen only after a shard's step succeeded, so a rolled-back
         shard never leaks directory entries."""
-        engine = self.engine
-        items = engine.route(edges)
-        levels = engine.ghost_levels(edges) if insert else None
+        items = self._route(edges)
+        levels = self._ghost_levels(edges) if insert else None
         self.tracker.add(work=max(1, len(edges)), depth=self._route_depth)
         tracer = _tracing.ACTIVE
         total = 0
         deepest = 0
-        for s, kernel in enumerate(engine.kernels):
+        for s, kernel in enumerate(self.kernels):
             shard_items = items[s]
             if not shard_items:
                 continue
@@ -327,9 +365,9 @@ class Coordinator:
                 deepest = delta.depth
             self.last_shard_depths[s] += delta.depth
             if insert:
-                engine.register_ghosts(s, out)
+                self._register_ghosts(s, out)
             else:
-                engine.drop_ghosts(s, out)
+                self._drop_ghosts(s, out)
         if total:
             self.tracker.add(work=total, depth=deepest)
 
@@ -376,72 +414,358 @@ class Coordinator:
                 if attempts >= self.shard_retry_limit:
                     raise
 
+    # -- cascade rounds (scatter-gather quiescence loop) ----------------
+
+    def cascade_rounds(self, phase: str) -> tuple[int, int]:
+        """Run ``phase`` (``"rise"`` or ``"desaturate"``) rounds until
+        global quiescence; returns ``(rounds, total messages)``.
+
+        Each round: every shard processes its bucket at the *global*
+        minimum dirty/pending level, the resulting move events are
+        routed through the ghost directory (sorted for deterministic
+        replay order, hence deterministic metering), and each target
+        shard applies them to its mirrors.  :attr:`tracker` is charged
+        once per round with the parallel composition described in the
+        module docstring; the per-round ``shard.round`` span carries
+        ``messages`` so the reconciliation
+
+            ``round.work == sum(child span work) + messages``
+
+        holds with integer equality.
+        """
+        if phase == "rise":
+            site = "plds.rise"
+            min_of = ShardKernel.min_dirty_level
+            step = ShardKernel.rise_level
+        elif phase == "desaturate":
+            site = "plds.desaturate"
+            min_of = ShardKernel.min_pending_level
+            step = ShardKernel.desaturate_level
+            self._consider_affected()
+        else:  # pragma: no cover - internal misuse
+            raise ValueError(f"unknown cascade phase {phase!r}")
+        tracker = self.tracker
+        kernels = self.kernels
+        rounds = 0
+        total_messages = 0
+        while True:
+            live = [m for m in (min_of(k) for k in kernels) if m is not None]
+            if not live:
+                break
+            level = min(live)
+            rounds += 1
+            fault_plan = _faults.ACTIVE
+            if fault_plan is not None:
+                fault_plan.hit(site)
+            tracer = _tracing.ACTIVE
+            mreg = _metrics.ACTIVE
+            round_span = (
+                tracer.begin(
+                    "shard.round", tracker, phase=phase, level=level
+                )
+                if tracer is not None
+                else None
+            )
+            local_work = 0
+            local_depth = 0
+            moves_by_owner: list[tuple[int, list[MoveEvent]]] = []
+            for s, k in enumerate(kernels):
+                since = k.tracker.snapshot()
+                span = (
+                    tracer.begin(
+                        f"shard.{phase}", k.tracker, shard=s, level=level
+                    )
+                    if tracer is not None
+                    else None
+                )
+                moves = step(k, level)
+                if span is not None:
+                    tracer.end(span)
+                delta = k.tracker.delta(since)
+                local_work += delta.work
+                if delta.depth > local_depth:
+                    local_depth = delta.depth
+                if moves:
+                    moves_by_owner.append((s, moves))
+                    if mreg is not None:
+                        mreg.inc(
+                            "shard.moves",
+                            len(moves),
+                            shard=str(s),
+                            phase=phase,
+                        )
+            # Route move events through the ghost directory; sort each
+            # target's batch so replay (and its metering) is
+            # deterministic despite set-ordered mover iteration.
+            events: list[list[MoveEvent]] = [[] for _ in kernels]
+            messages = 0
+            ghost_sites = self._ghost_sites
+            for _s, moves in moves_by_owner:
+                for ev in moves:
+                    sites = ghost_sites.get(ev[0])
+                    if not sites:
+                        continue
+                    for t in sites:
+                        events[t].append(ev)
+                        messages += 1
+            apply_work = 0
+            apply_depth = 0
+            for t, evs in enumerate(events):
+                if not evs:
+                    continue
+                evs.sort()
+                k = kernels[t]
+                since = k.tracker.snapshot()
+                span = (
+                    tracer.begin(
+                        "shard.ghost_apply",
+                        k.tracker,
+                        shard=t,
+                        events=len(evs),
+                    )
+                    if tracer is not None
+                    else None
+                )
+                k.apply_moves(evs)
+                if span is not None:
+                    tracer.end(span)
+                delta = k.tracker.delta(since)
+                apply_work += delta.work
+                if delta.depth > apply_depth:
+                    apply_depth = delta.depth
+            exchange_depth = (
+                apply_depth + log2_ceil(messages) + 1 if messages else 0
+            )
+            tracker.add(
+                work=local_work + apply_work + messages,
+                depth=local_depth + exchange_depth,
+            )
+            total_messages += messages
+            if round_span is not None:
+                round_span.attrs["messages"] = messages
+                tracer.end(round_span)
+            if mreg is not None:
+                mreg.inc("shard.rounds", phase=phase)
+                if messages:
+                    mreg.inc("shard.messages", messages, phase=phase)
+                mreg.observe("shard.round_messages", messages, phase=phase)
+        return rounds, total_messages
+
+    def _consider_affected(self) -> None:
+        """Fold every shard's post-deletion desire scans into
+        :attr:`tracker` (parallel across shards: sum work, max depth)."""
+        total = 0
+        deepest = 0
+        for k in self.kernels:
+            since = k.tracker.snapshot()
+            k.consider_affected()
+            delta = k.tracker.delta(since)
+            total += delta.work
+            if delta.depth > deepest:
+                deepest = delta.depth
+        if total:
+            self.tracker.add(work=total, depth=deepest)
+
+    # -- rebuild (Section 5.9, globally coordinated) --------------------
+
     def _maybe_rebuild(self) -> None:
-        engine = self.engine
-        if not engine.needs_rebuild():
+        if self.num_vertices <= self.n_hint:
             return
         mreg = _metrics.ACTIVE
         if mreg is not None:
             mreg.inc("shard.rebuilds")
         tracer = _tracing.ACTIVE
         if tracer is None:
-            engine.rebuild()
+            self._rebuild()
             return
         with tracer.span(
             "shard.rebuild",
             self.tracker,
-            vertices=engine.num_vertices,
-            edges=engine.num_edges,
+            vertices=self.num_vertices,
+            edges=self.num_edges,
         ):
-            engine.rebuild()
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Re-size every kernel to the global ``2 * n`` hint and replay.
+
+        Charges the same gather cost as the monolithic rebuild, then
+        replays the edge set through the normal scatter + rise-round
+        machinery from all-zero levels — which converges to the same
+        least fixpoint (and hence the same estimates) as the monolithic
+        replay, whatever the shard count.
+        """
+        edges = sorted(self.edges())
+        verts = sorted(self.vertices())
+        new_hint = max(2, 2 * len(verts))
+        self.tracker.add(
+            work=max(1, len(edges) + len(verts)),
+            depth=log2_ceil(max(2, len(edges))) + 1,
+        )
+        self.n_hint = new_hint
+        self.kernels = [
+            self._make_kernel(s, new_hint, k.tracker)
+            for s, k in enumerate(self.kernels)
+        ]
+        self._ghost_sites = {}
+        owner = self.partitioner.owner
+        for v in verts:  # keep isolated vertices alive at level 0
+            self.kernels[owner(v)]._record(v)
+        if edges:
+            self.replay_insert(edges)
+        for k in self.kernels:  # replay moves are not batch moves
+            k._moved.clear()
+        # Every level was re-derived: the next publication must be
+        # from scratch (update() turns this into last_moved = None).
+        self._levels_reshaped = True
+
+    def replay_insert(self, edges: list[tuple[int, int]]) -> None:
+        """Plain (fault-transparent) insertion scatter + rise rounds —
+        the rebuild path; live batches go through the fault-isolated
+        :meth:`_scatter` instead, which also charges the routing step."""
+        items = self._route(edges)
+        levels = self._ghost_levels(edges)
+        total = 0
+        deepest = 0
+        for s, k in enumerate(self.kernels):
+            if not items[s]:
+                continue
+            since = k.tracker.snapshot()
+            new_ghosts = k.apply_insertions(items[s], levels)
+            delta = k.tracker.delta(since)
+            total += delta.work
+            if delta.depth > deepest:
+                deepest = delta.depth
+            self._register_ghosts(s, new_ghosts)
+        if total:
+            self.tracker.add(work=total, depth=deepest)
+        self.cascade_rounds("rise")
+
+    # -- gathered queries -----------------------------------------------
+
+    # The shared QueryView surface (coreness_estimate / estimates /
+    # core_members / densest_estimate / core_subgraph / publish_epoch)
+    # gathers over the kernels through these hooks; shard-local vertex
+    # sets are disjoint, so chaining kernels merges without conflicts.
+
+    def _records(self) -> Iterable[_VertexRecord]:
+        # Local records only: a ghost is answered by its owner shard.
+        return chain.from_iterable(k._vertices.values() for k in self.kernels)
+
+    def _level_deg_of(self, v: int) -> tuple[int, int] | None:
+        return self.kernels[self.partitioner.owner(v)]._level_deg_of(v)
+
+    # Every kernel is built from the same global parameters (the
+    # coordinated rebuild re-sizes all shards together), so shard 0
+    # answers for the estimate tables and the error bound.
+
+    @property
+    def levels_per_group(self) -> int:
+        return self.kernels[0].levels_per_group
+
+    @property
+    def _group_pow(self) -> list[float]:
+        return self.kernels[0]._group_pow
+
+    def approximation_factor(self) -> float:
+        """The provable max error ratio of the kernels (Lemma 5.13; a
+        guarantee only for ``group_shrink == 1``)."""
+        return self.kernels[0].approximation_factor()
+
+    def level(self, v: int) -> int:
+        return self.kernels[self.partitioner.owner(v)].level(v)
+
+    def vertices(self) -> Iterator[int]:
+        for k in self.kernels:
+            yield from k._vertices
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self.kernels[self.partitioner.owner(u)].has_edge(u, v)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(k._m for k in self.kernels)
+
+    @property
+    def num_vertices(self) -> int:
+        return sum(len(k._vertices) for k in self.kernels)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Every edge exactly once (each kernel yields its counted set)."""
+        for k in self.kernels:
+            yield from k.edges()
+
+    def space_bytes(self) -> int:
+        total = sum(k.space_bytes() for k in self.kernels)
+        for sites in self._ghost_sites.values():
+            total += 8 + 8 * len(sites)  # directory entry
+        return total
 
     # -- epoch-versioned reads ------------------------------------------
 
     def publish_epoch(
         self, touched: Iterable[int] | None = None
     ) -> EpochSnapshot:
-        """Publish a coordinator epoch over a *stable* per-shard vector.
+        """:meth:`QueryView.publish_epoch` over the owner kernels' records.
 
-        Call only at a quiescent commit point (between batches).  The
-        engine's own :meth:`~repro.core.query.QueryView.publish_epoch`
-        path-copies one image gathered over the owner kernels (only
-        chunks holding a ``touched`` vertex — :attr:`last_moved` plus
-        the batch endpoints whose degree crossed zero — are copied), and
-        every kernel's epoch serial advances with it, so the recorded
-        ``shard_epochs`` vector names exactly the shard states the image
-        was read from.  A reshape anywhere — the engine-coordinated rebuild (which
-        recreates every kernel and restarts its serial), or a
-        kernel-level vertex insert/delete — forces a full publish.
-
-        Shard-local rollback leaves the published epoch alone: readers
-        keep the last epoch published here, never a half-applied state.
+        A kernel-level vertex insert/delete re-levels that shard outside
+        batch move accounting, so it forces a full publish here, as the
+        coordinated rebuild does through :attr:`last_moved`.  Shard-local
+        rollback leaves the published epoch alone: readers keep the last
+        epoch published here, never a half-applied state.
         """
-        engine = self.engine
-        kernels = engine.kernels
-        if self._levels_reshaped or any(k._levels_reshaped for k in kernels):
-            touched = None
-            self._levels_reshaped = False
-            for k in kernels:
+        for k in self.kernels:
+            if k._levels_reshaped:
                 k._levels_reshaped = False
-        snap = engine.publish_epoch(touched)
-        for k in kernels:
-            k._epoch_serial += 1
-        serials = tuple(k._epoch_serial for k in kernels)
-        view = self._published = replace(snap, shard_epochs=serials)
-        mreg = _metrics.ACTIVE
-        if mreg is not None:
-            for s, serial in enumerate(serials):
-                mreg.gauge("shard.read_epoch", serial, shard=str(s))
-        return view
+                touched = None
+        return super().publish_epoch(touched)
 
-    def read_view(self) -> EpochSnapshot:
-        """Last published coordinator epoch (empty epoch 0 before any)."""
-        pub = self._published
-        return pub if pub is not None else EMPTY_EPOCH
+    # -- cross-shard consistency checks ---------------------------------
 
-    @property
-    def read_epoch(self) -> int:
-        return self.engine.read_epoch
+    def check_invariants(self) -> list[str]:
+        """Per-kernel checks (shard-prefixed) + mirror/directory audit."""
+        problems: list[str] = []
+        kernels = self.kernels
+        owner = self.partitioner.owner
+        for s, k in enumerate(kernels):
+            problems.extend(f"shard {s}: {p}" for p in k.check_invariants())
+        for v, sites in sorted(self._ghost_sites.items()):
+            ov = owner(v)
+            orec = kernels[ov]._vertices.get(v)
+            if orec is None:
+                problems.append(f"ghost directory lists unknown vertex {v}")
+                continue
+            for t in sorted(sites):
+                if t == ov:
+                    problems.append(
+                        f"directory says {v} is a ghost on its owner shard {t}"
+                    )
+                    continue
+                g = kernels[t]._ghosts.get(v)
+                if g is None:
+                    problems.append(
+                        f"directory says shard {t} mirrors {v}; it does not"
+                    )
+                elif g.level != orec.level:
+                    problems.append(
+                        f"ghost of {v} on shard {t} at level {g.level}, "
+                        f"owner holds level {orec.level}"
+                    )
+        for t, k in enumerate(kernels):
+            for v, g in k._ghosts.items():
+                if t not in self._ghost_sites.get(v, ()):
+                    problems.append(
+                        f"shard {t} holds unregistered ghost of {v}"
+                    )
+                    continue
+                home = kernels[owner(v)]
+                for w in g.neighbors():
+                    if not home.has_edge(v, w):
+                        problems.append(
+                            f"mirror edge ({v},{w}) on shard {t} missing "
+                            f"from owner shard {owner(v)}"
+                        )
+        return problems
 
     # -- snapshots ------------------------------------------------------
 
@@ -459,26 +783,25 @@ class Coordinator:
         """
         return self.compose_snapshot(
             self.snapshot_header(),
-            {r.id: r.level for r in self.engine._records()},
-            self.engine.edges(),
+            {r.id: r.level for r in self._records()},
+            self.edges(),
         )
 
     def snapshot_header(self) -> dict:
         """The O(1) parameter part of :meth:`to_snapshot` (``n_hint``
         changes on a rebuild, so take it before the state to restore)."""
-        engine = self.engine
         return {
             "format": 1,
             "sharded": True,
             "params": {
-                "n_hint": engine.n_hint,
-                "delta": engine.delta,
-                "lam": engine.lam,
-                "group_shrink": engine.group_shrink,
-                "upper_coeff": engine.upper_coeff,
-                "insertion_strategy": engine.insertion_strategy,
-                "structure": engine.structure,
-                "shards": engine.num_shards,
+                "n_hint": self.n_hint,
+                "delta": self.delta,
+                "lam": self.lam,
+                "group_shrink": self.group_shrink,
+                "upper_coeff": self.upper_coeff,
+                "insertion_strategy": self.insertion_strategy,
+                "structure": self.structure,
+                "shards": self.num_shards,
                 "partition": self.partition,
                 "shard_retry_limit": self.shard_retry_limit,
             },
@@ -497,7 +820,7 @@ class Coordinator:
         once :meth:`initialize` ran, so it is the same for any state of
         this coordinator that a header could describe.
         """
-        partitioner = self.engine.partitioner
+        partitioner = self.partitioner
         owner = partitioner.owner
         shards = range(partitioner.num_shards)
         shard_levels: list[list[list[int]]] = [[] for _ in shards]
@@ -535,8 +858,8 @@ class Coordinator:
             tracker=tracker, assignment=assignment or None, **params
         )
         coord._initialized = True
-        engine = coord.engine
-        owner = engine.partitioner.owner
+        kernels = coord.kernels
+        owner = coord.partitioner.owner
         levels: dict[int, int] = {}
         all_edges: list[tuple[int, int]] = []
         for section in snapshot["shards"]:
@@ -546,12 +869,12 @@ class Coordinator:
                     raise ValueError(
                         f"snapshot places {v} on shard {s}, owner is {owner(v)}"
                     )
-                if not 0 <= lvl < engine.kernels[s].num_levels:
+                if not 0 <= lvl < kernels[s].num_levels:
                     raise ValueError(
                         f"level {lvl} of vertex {v} out of range"
                     )
                 levels[v] = lvl
-                rec = engine.kernels[s]._record(v)
+                rec = kernels[s]._record(v)
                 rec.level = lvl
             all_edges.extend(tuple(e) for e in section["edges"])
         for u, v in all_edges:
@@ -559,24 +882,24 @@ class Coordinator:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
             su, sv = owner(u), owner(v)
             ghosts: list[int] = []
-            ku = engine.kernels[su]
+            ku = kernels[su]
             ku._link_records(
                 ku._vertices[u], ku._materialize(v, levels, ghosts)
             )
             ku._m += 1  # counted on the min-endpoint owner (u < v)
-            engine.register_ghosts(su, ghosts)
+            coord._register_ghosts(su, ghosts)
             if sv != su:
                 ghosts = []
-                kv = engine.kernels[sv]
+                kv = kernels[sv]
                 kv._link_records(
                     kv._materialize(u, levels, ghosts), kv._vertices[v]
                 )
-                engine.register_ghosts(sv, ghosts)
+                coord._register_ghosts(sv, ghosts)
         return coord
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Coordinator(shards={self.num_shards}, "
             f"partition={self.partition!r}, n={self.num_vertices}, "
-            f"m={self.num_edges})"
+            f"m={self.num_edges}, ghosts={len(self._ghost_sites)})"
         )

@@ -25,7 +25,7 @@ at most one message round.  The level-message boundary:
   all local (ghost adjacency is local-only) and feed the shard's own
   dirty/pending state.
 
-The engine's :meth:`~repro.shard.engine.ShardedEngine.cascade_rounds`
+The coordinator's :meth:`~repro.shard.coordinator.Coordinator.cascade_rounds`
 alternates step and apply until global quiescence; the monotone-fixpoint
 argument for Algorithms 2/3 (rises never overshoot the least fixpoint
 and still-violating vertices are re-marked at event-apply time; dually
@@ -61,17 +61,17 @@ class ShardKernel(PLDS):
         This shard's index (label for spans/metrics/diagnostics).
     owns:
         Predicate ``vertex id -> bool`` telling local from remote
-        (derived from the engine's partitioner).
+        (derived from the coordinator's partitioner).
 
     The kernel never runs :meth:`PLDS.update` — batches arrive
     pre-validated from the coordinator as :meth:`apply_insertions` /
     :meth:`apply_deletions` items, and rebalancing is driven round-wise
-    by the engine.  Orientation tracking is unsupported (ghost replicas
-    would need their own touched-edge exchange), and the Section-5.9
-    rebuild is the *engine's* job: the local trigger is disabled because
-    the level-threshold tables must be sized by the global ``n_hint``
-    on every shard for shard-count-independent rise/desaturate
-    decisions.
+    by the coordinator.  Orientation tracking is unsupported (ghost
+    replicas would need their own touched-edge exchange), and the
+    Section-5.9 rebuild is the *coordinator's* job: the local trigger is
+    disabled because the level-threshold tables must be sized by the
+    global ``n_hint`` on every shard for shard-count-independent
+    rise/desaturate decisions.
     """
 
     def __init__(
@@ -148,7 +148,7 @@ class ShardKernel(PLDS):
         remote endpoints materialize as up-to-date ghosts.  Local
         endpoints are marked dirty (Algorithm 2 seeds); ghost endpoints
         are the owning shard's problem.  Returns the ids of newly
-        created ghosts (for the engine's ghost directory).
+        created ghosts (for the coordinator's ghost directory).
         """
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
@@ -177,8 +177,8 @@ class ShardKernel(PLDS):
 
         Ghost replicas whose mirrored degree drops to zero are evicted
         (no local vertex needs their level anymore); their ids are
-        returned so the engine can prune the ghost directory *after*
-        the step commits (rollback safety).
+        returned so the coordinator can prune the ghost directory
+        *after* the step commits (rollback safety).
         """
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
@@ -499,7 +499,7 @@ class ShardKernel(PLDS):
         self._affected = set()
 
     # ------------------------------------------------------------------
-    # Overrides: ghost-aware queries, engine-owned rebuild
+    # Overrides: ghost-aware queries, coordinator-owned rebuild
     # ------------------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -512,8 +512,8 @@ class ShardKernel(PLDS):
         return rv in ru.down.get(rv.level, ())
 
     def _maybe_rebuild(self) -> None:
-        # Rebuilds are coordinated by the engine: the trigger must read
-        # the *global* vertex count and every shard must re-size to the
+        # Rebuilds are the Coordinator's: the trigger must read the
+        # *global* vertex count and every shard must re-size to the
         # same global n_hint, or the per-level threshold tables diverge
         # from the monolithic structure and parity breaks.
         return
@@ -534,7 +534,7 @@ class ShardKernel(PLDS):
     def check_invariants(self) -> list[str]:
         """Inherited per-local-vertex checks + ghost bookkeeping checks.
 
-        (Cross-shard mirror/directory consistency is the engine's
+        (Cross-shard mirror/directory consistency is the coordinator's
         check; this one sees a single shard.)
         """
         problems = super().check_invariants()

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.plds import PLDS
 from repro.core.query import CHUNK_WIDTH, EpochImage, EpochSnapshot
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch
@@ -168,18 +169,39 @@ def test_pinned_view_shares_the_published_images():
     assert view.levels is published.levels
 
 
+@pytest.mark.shard
 def test_kernel_reshape_forces_full_sharded_publish():
     coord = Coordinator(64, shards=3)
     coord.initialize([(0, 1), (1, 2), (2, 3)])
     first = coord.publish_epoch(None)
     v = 40
-    kernel = coord.engine.kernels[coord.engine.partitioner.owner(v)]
+    kernel = coord.kernels[coord.partitioner.owner(v)]
     kernel.insert_vertices([v])
     # Nothing touched, but a kernel re-levelled outside batch accounting.
     snap = coord.publish_epoch(set())
     assert v not in first.levels and snap.levels[v] == 0
-    assert snap.shard_epochs == (2, 2, 2)
     assert coord.read_epoch == snap.epoch == first.epoch + 1
+
+
+@pytest.mark.shard
+@pytest.mark.parametrize("shards", (1, 2, 4))
+def test_sharded_rebuild_clears_last_moved(shards):
+    # A 12-edge path on n_hint=4 outgrows the hint in its first batch,
+    # so the coordinated Section-5.9 rebuild runs inside update().
+    path = [(i, i + 1) for i in range(12)]
+    mono = PLDS(4)
+    mono.update(Batch(insertions=path))
+    coord = Coordinator(4, shards=shards)
+    coord.update(Batch(insertions=path[:2]))
+    coord.publish_epoch(coord.last_moved)
+    hint = coord.n_hint
+    coord.update(Batch(insertions=path[2:]))
+    assert coord.n_hint > hint, "the batch did not rebuild"
+    assert mono.last_moved is None
+    assert coord.last_moved is None
+    snap = coord.publish_epoch(coord.last_moved)
+    assert dict(snap.levels) == {r.id: r.level for r in coord._records()}
+    assert dict(snap.estimates) == coord.coreness_estimates()
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +215,9 @@ _ENGINES = [
     pytest.param("pldsopt", {}, id="pldsopt"),
     pytest.param("lds", {}, id="lds"),
 ] + [
-    pytest.param("plds-sharded", {"shards": s}, id=f"plds-sharded-{s}")
+    pytest.param(
+        "plds-sharded", {"shards": s}, id=f"plds-sharded-{s}", marks=pytest.mark.shard
+    )
     for s in (1, 4)
 ]
 
@@ -243,11 +267,10 @@ def _stream_batches(stream) -> list[Batch]:
 def test_incremental_publish_equals_full_publish(algorithm, kwargs, stream):
     svc = CoreService(algorithm, n_hint=_N, **kwargs)
     engine = svc.engine
-    records = engine.engine if isinstance(engine, Coordinator) else engine
     for batch in _stream_batches(stream):
         svc.apply_batch(batch)
         published = svc._published
         assert dict(published.estimates) == engine.coreness_estimates()
         assert dict(published.levels) == {
-            r.id: r.level for r in records._records()
+            r.id: r.level for r in engine._records()
         }

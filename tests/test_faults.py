@@ -284,17 +284,14 @@ def _spy_rebuilds(monkeypatch, svc, plan):
     """Record ``(rebuilt structure, plds.rise hits so far)`` at each
     rebuild entry; the structure holds the re-sized ``n_hint``."""
     impl = svc.engine
-    host, attr = (
-        (impl.engine, "rebuild") if hasattr(impl, "engine") else (impl, "_rebuild")
-    )
-    original = getattr(host, attr)
+    original = impl._rebuild
     calls = []
 
     def spy():
-        calls.append((host, plan.counts["plds.rise"]))
+        calls.append((impl, plan.counts["plds.rise"]))
         original()
 
-    monkeypatch.setattr(host, attr, spy)
+    monkeypatch.setattr(impl, "_rebuild", spy)
     return calls
 
 

@@ -124,7 +124,7 @@ def test_level_cut_answers_equal_float_filters(key, kwargs, stream):
         svc.apply_batch(batch)
         impl = adapter.impl
         estimates = impl.coreness_estimates()
-        pow_table = (impl.engine if key == "plds-sharded" else impl)._group_pow
+        pow_table = impl._group_pow
         for k in _thresholds(pow_table):
             assert impl.core_members(k) == _members_oracle(estimates, k), k
             assert svc.core_members(k) == _service_oracle(svc, k), k

@@ -29,7 +29,6 @@ from repro.graphs.streams import Batch, deletion_batches, insertion_batches
 from repro.obs import metrics, tracing
 from repro.registry import algorithm_keys, algorithm_spec
 from repro.service import AuditPolicy, CoreService, ReadResult, RetryPolicy
-from repro.shard.coordinator import Coordinator
 
 pytestmark = pytest.mark.mvcc
 
@@ -394,8 +393,6 @@ ASYNC_READ_ALGOS = tuple(
 
 def _engine_levels(svc: CoreService) -> dict[int, int]:
     impl = svc.engine
-    if isinstance(impl, Coordinator):
-        impl = impl.engine
     return {v: impl.level(v) for v in impl.vertices()}
 
 

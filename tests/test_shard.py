@@ -86,7 +86,7 @@ class TestGoldenParity:
         mono = _run_mono(n_hint=32)
         coord = _run_sharded(shards, n_hint=32)
         assert coord.coreness_estimates() == mono.coreness_estimates()
-        assert coord.engine.n_hint == mono.n_hint
+        assert coord.n_hint == mono.n_hint
 
     def test_degree_balanced_parity(self) -> None:
         batches = _stream()
@@ -179,7 +179,7 @@ class TestPartitioner:
         # a ghost replica on the shard that owns it.
         coord = Coordinator(_N_HINT, shards=4)
         coord.update(Batch(insertions=sorted(edges)))
-        for s, kernel in enumerate(coord.engine.kernels):
+        for s, kernel in enumerate(coord.kernels):
             for v in kernel._ghosts:
                 assert coord.partitioner.owner(v) != s, (
                     f"vertex {v} is a ghost on its owner shard {s}"
@@ -202,7 +202,7 @@ class TestBoundaryValidation:
     def _state(self, coord: Coordinator) -> list:
         return [
             (sorted(k._vertices), sorted(k.edges()), k._m)
-            for k in coord.engine.kernels
+            for k in coord.kernels
         ]
 
     @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ class TestShardFaultIsolation:
     def test_other_shards_keep_state_across_rollback(self) -> None:
         coord = Coordinator(_N_HINT, shards=4)
         coord.update(Batch(insertions=[(0, 1), (2, 3), (5, 6), (8, 9)]))
-        kernels = coord.engine.kernels
+        kernels = coord.kernels
         before = [
             (dict.fromkeys(k._vertices), sorted(k.edges())) for k in kernels
         ]
