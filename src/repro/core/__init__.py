@@ -3,7 +3,6 @@
 from .densest import charikar_peel, densest_subgraph_estimate
 from .invariants import (
     approximation_violations,
-    plds_invariant_violations,
     structure_matches_edges,
 )
 from .lds import LDS
@@ -27,7 +26,6 @@ __all__ = [
     "DirectedEdge",
     "UpdateResult",
     "approximation_violations",
-    "plds_invariant_violations",
     "structure_matches_edges",
     "degeneracy",
     "is_acyclic_orientation",

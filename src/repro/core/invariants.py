@@ -1,9 +1,8 @@
 """Invariant and guarantee checkers used by the test suite.
 
-Gathers the checkable promises the paper makes:
+Gathers the checkable promises the paper makes beyond the structural
+Invariants 1–2, which :meth:`PLDS.check_invariants` checks itself:
 
-- structural Invariants 1–2 of the PLDS (delegated to
-  :meth:`PLDS.check_invariants`);
 - the ``(2+ε)`` coreness approximation of Lemma 5.13;
 - consistency between the PLDS's internal adjacency bookkeeping and a
   reference edge set.
@@ -16,15 +15,9 @@ from typing import Mapping
 from .plds import PLDS
 
 __all__ = [
-    "plds_invariant_violations",
     "approximation_violations",
     "structure_matches_edges",
 ]
-
-
-def plds_invariant_violations(plds: PLDS) -> list[str]:
-    """Invariant 1/2 and bookkeeping violations (empty list == healthy)."""
-    return plds.check_invariants()
 
 
 def approximation_violations(

@@ -18,7 +18,11 @@ It validates every batch once at the boundary, scatters the routed
 edges to owner shards with **shard-level fault isolation**, drives the
 ghost-exchange cascade rounds to quiescence, and answers queries and
 publishes read epochs as a :class:`~repro.core.query.QueryView` host
-over the kernels' local records (never their ghosts).
+over the kernels' local records (never their ghosts).  In a round each
+shard with work cascades to *local* quiescence, then every vertex that
+moved is sent once, at its final level, to the shards mirroring it, and
+each shard replays its incoming events as one parallel step; rounds
+repeat only while the exchange left some shard with work.
 
 Cost accounting: :attr:`Coordinator.tracker` is the authoritative meter
 (the one the registry adapter and the service read).  Kernels meter
@@ -29,7 +33,8 @@ into private per-shard trackers; each phase is folded in as
 
 i.e. shards run in parallel (max over the per-shard critical paths)
 and each message round pays ``max(apply depths) + ceil(log2 messages)
-+ 1`` for the exchange barrier — the simulated ``T_p`` therefore
++ 1`` for the exchange barrier, where a shard's apply depth is the
+deepest single ghost replay — the simulated ``T_p`` therefore
 accounts for the max-over-shards critical path plus the ghost-exchange
 rounds, as ``docs/cost_model.md`` specifies.
 
@@ -230,20 +235,15 @@ class Coordinator(QueryView):
         self.tracker.add(work=max(1, len(batch)), depth=5)
         ins, dels = check_batch(batch, self.has_edge)
         result = UpdateResult()
+        moved = result.moved_vertices
         self.last_rounds = 0
         self.last_shard_depths = [0] * self.num_shards
         if ins:
             self._scatter(ins, insert=True)
-            rounds, _ = self.cascade_rounds("rise")
-            self.last_rounds += rounds
+            self.last_rounds += self.cascade_rounds("rise", moved)
         if dels:
             self._scatter(dels, insert=False)
-            rounds, _ = self.cascade_rounds("desaturate")
-            self.last_rounds += rounds
-        moved: set[int] = set()
-        for k in self.kernels:
-            moved |= k.take_moved()
-        result.moved_vertices = moved
+            self.last_rounds += self.cascade_rounds("desaturate", moved)
         mreg = _metrics.ACTIVE
         if mreg is not None:
             mreg.gauge("shard.lag", self.shard_lag())
@@ -416,18 +416,22 @@ class Coordinator(QueryView):
 
     # -- cascade rounds (scatter-gather quiescence loop) ----------------
 
-    def cascade_rounds(self, phase: str) -> tuple[int, int]:
+    def cascade_rounds(self, phase: str, moved: set[int]) -> int:
         """Run ``phase`` (``"rise"`` or ``"desaturate"``) rounds until
-        global quiescence; returns ``(rounds, total messages)``.
+        global quiescence, adding every local vertex that moved to
+        ``moved``; returns the number of rounds.
 
-        Each round: every shard processes its bucket at the *global*
-        minimum dirty/pending level, the resulting move events are
-        routed through the ghost directory (sorted for deterministic
-        replay order, hence deterministic metering), and each target
-        shard applies them to its mirrors.  :attr:`tracker` is charged
-        once per round with the parallel composition described in the
-        module docstring; the per-round ``shard.round`` span carries
-        ``messages`` so the reconciliation
+        Each round: every shard with work settles to local quiescence
+        (:meth:`~repro.shard.kernel.ShardKernel.settle`), each moved
+        vertex is sent once, at its final level, to every shard the
+        ghost directory says mirrors it, and each target shard replays
+        its events (sorted by vertex, so replay and its metering are
+        deterministic) as one parallel step.  A new round runs only
+        while some shard has work after the exchange.  :attr:`tracker`
+        is charged once per round with the parallel composition
+        described in the module docstring; the per-round ``shard.round``
+        span carries ``level`` (the lowest starting level among the
+        settling shards) and ``messages``, so the reconciliation
 
             ``round.work == sum(child span work) + messages``
 
@@ -436,23 +440,27 @@ class Coordinator(QueryView):
         if phase == "rise":
             site = "plds.rise"
             min_of = ShardKernel.min_dirty_level
-            step = ShardKernel.rise_level
+            rise = True
         elif phase == "desaturate":
             site = "plds.desaturate"
             min_of = ShardKernel.min_pending_level
-            step = ShardKernel.desaturate_level
+            rise = False
             self._consider_affected()
         else:  # pragma: no cover - internal misuse
             raise ValueError(f"unknown cascade phase {phase!r}")
         tracker = self.tracker
         kernels = self.kernels
+        ghost_sites = self._ghost_sites
         rounds = 0
-        total_messages = 0
         while True:
-            live = [m for m in (min_of(k) for k in kernels) if m is not None]
-            if not live:
-                break
-            level = min(live)
+            starts = [
+                (s, k, start)
+                for s, k in enumerate(kernels)
+                if (start := min_of(k)) is not None
+            ]
+            if not starts:
+                return rounds
+            level = min(start for _s, _k, start in starts)
             rounds += 1
             fault_plan = _faults.ACTIVE
             if fault_plan is not None:
@@ -468,46 +476,35 @@ class Coordinator(QueryView):
             )
             local_work = 0
             local_depth = 0
-            moves_by_owner: list[tuple[int, list[MoveEvent]]] = []
-            for s, k in enumerate(kernels):
+            events: list[list[MoveEvent]] = [[] for _ in kernels]
+            messages = 0
+            for s, k, start in starts:
                 since = k.tracker.snapshot()
                 span = (
                     tracer.begin(
-                        f"shard.{phase}", k.tracker, shard=s, level=level
+                        f"shard.{phase}", k.tracker, shard=s, level=start
                     )
                     if tracer is not None
                     else None
                 )
-                moves = step(k, level)
+                moves = k.settle(rise)
                 if span is not None:
                     tracer.end(span)
                 delta = k.tracker.delta(since)
                 local_work += delta.work
                 if delta.depth > local_depth:
                     local_depth = delta.depth
-                if moves:
-                    moves_by_owner.append((s, moves))
-                    if mreg is not None:
-                        mreg.inc(
-                            "shard.moves",
-                            len(moves),
-                            shard=str(s),
-                            phase=phase,
-                        )
-            # Route move events through the ghost directory; sort each
-            # target's batch so replay (and its metering) is
-            # deterministic despite set-ordered mover iteration.
-            events: list[list[MoveEvent]] = [[] for _ in kernels]
-            messages = 0
-            ghost_sites = self._ghost_sites
-            for _s, moves in moves_by_owner:
-                for ev in moves:
+                if not moves:
+                    continue
+                moved.update(moves)
+                if mreg is not None:
+                    mreg.inc("shard.moves", len(moves), shard=str(s), phase=phase)
+                for ev in moves.items():
                     sites = ghost_sites.get(ev[0])
-                    if not sites:
-                        continue
-                    for t in sites:
-                        events[t].append(ev)
-                        messages += 1
+                    if sites:
+                        for t in sites:
+                            events[t].append(ev)
+                        messages += len(sites)
             apply_work = 0
             apply_depth = 0
             for t, evs in enumerate(events):
@@ -540,7 +537,6 @@ class Coordinator(QueryView):
                 work=local_work + apply_work + messages,
                 depth=local_depth + exchange_depth,
             )
-            total_messages += messages
             if round_span is not None:
                 round_span.attrs["messages"] = messages
                 tracer.end(round_span)
@@ -549,7 +545,6 @@ class Coordinator(QueryView):
                 if messages:
                     mreg.inc("shard.messages", messages, phase=phase)
                 mreg.observe("shard.round_messages", messages, phase=phase)
-        return rounds, total_messages
 
     def _consider_affected(self) -> None:
         """Fold every shard's post-deletion desire scans into
@@ -613,8 +608,6 @@ class Coordinator(QueryView):
             self.kernels[owner(v)]._record(v)
         if edges:
             self.replay_insert(edges)
-        for k in self.kernels:  # replay moves are not batch moves
-            k._moved.clear()
         # Every level was re-derived: the next publication must be
         # from scratch (update() turns this into last_moved = None).
         self._levels_reshaped = True
@@ -639,7 +632,7 @@ class Coordinator(QueryView):
             self._register_ghosts(s, new_ghosts)
         if total:
             self.tracker.add(work=total, depth=deepest)
-        self.cascade_rounds("rise")
+        self.cascade_rounds("rise", set())  # replay moves are not batch moves
 
     # -- gathered queries -----------------------------------------------
 

@@ -14,23 +14,26 @@ Local up-degrees, up*-degrees and desire-level scans are therefore
 *exact* given the current ghost levels; ghost levels lag their owners by
 at most one message round.  The level-message boundary:
 
-- cascade steps (:meth:`rise_level`, :meth:`desaturate_level`) process
-  only the shard's own dirty/pending buckets and emit **move events**
-  ``(v, old_level, new_level)`` for every local move, instead of
-  marking remote neighbors directly (the marking a monolithic PLDS does
-  in-line is skipped for ghost records);
+- :meth:`settle` runs the shard's own dirty/pending buckets to local
+  quiescence (:meth:`rise_level` / :meth:`desaturate_level` at the
+  shard's minimum level, repeated) and returns one **move event**
+  ``(v, new_level)`` per local vertex that moved, at its final level;
+  the marking a monolithic PLDS does in-line is skipped for ghost
+  records;
 - :meth:`apply_moves` replays remote events onto the local ghost
   replicas via the record-based primitives ``_move_up_to`` /
   ``_move_down`` — whose returned newly-marked / weakened records are
   all local (ghost adjacency is local-only) and feed the shard's own
-  dirty/pending state.
+  dirty/pending state.  Ghosts are never adjacent to ghosts, so the
+  replays are independent moves, metered as one parallel step.
 
 The coordinator's :meth:`~repro.shard.coordinator.Coordinator.cascade_rounds`
-alternates step and apply until global quiescence; the monotone-fixpoint
-argument for Algorithms 2/3 (rises never overshoot the least fixpoint
-and still-violating vertices are re-marked at event-apply time; dually
-for desaturation with move-time revalidation) makes the final levels —
-and hence the coreness estimates — independent of the shard count.
+alternates settle and apply until global quiescence.  Rise is a monotone
+least-fixpoint iteration (a rise never overshoots the least fixpoint, and
+still-violating vertices are re-marked at event-apply time) and
+desaturation its greatest-fixpoint dual with move-time revalidation, so
+neither the shard count nor the order in which shards settle changes the
+final levels, and hence the coreness estimates.
 
 Edge-count discipline: an edge is *held* by both endpoint owners but
 *counted* (``_m``) only by the owner of its min endpoint, so the
@@ -48,8 +51,8 @@ from ..parallel.engine import WorkDepthTracker
 
 __all__ = ["ShardKernel"]
 
-#: A level-move event: (vertex, old_level, new_level).
-MoveEvent = tuple[int, int, int]
+#: A level-move event: (vertex, final level in the round).
+MoveEvent = tuple[int, int]
 
 
 class ShardKernel(PLDS):
@@ -110,8 +113,6 @@ class ShardKernel(PLDS):
         self._pending: dict[int, set[int]] = {}
         #: local endpoints touched by deletions, awaiting a desire scan.
         self._affected: set[int] = set()
-        #: local vertices moved since the last :meth:`take_moved`.
-        self._moved: set[int] = set()
 
     # ------------------------------------------------------------------
     # Structural apply steps (scatter phase)
@@ -211,7 +212,7 @@ class ShardKernel(PLDS):
         self.tracker.flat_parfor(affected, lambda v: self._consider(vertices[v]))
 
     # ------------------------------------------------------------------
-    # Level-synchronous cascade steps (round phase)
+    # Cascade steps (round phase)
     # ------------------------------------------------------------------
 
     def min_dirty_level(self) -> int | None:
@@ -220,9 +221,28 @@ class ShardKernel(PLDS):
     def min_pending_level(self) -> int | None:
         return min(self._pending) if self._pending else None
 
-    def rise_level(self, level: int) -> list[MoveEvent]:
+    def settle(self, rise: bool) -> dict[int, int]:
+        """Run this shard's rise (or desaturate) buckets to local
+        quiescence; return ``vertex -> final level`` for every local
+        vertex that moved.
+
+        Each step processes the shard's own minimum dirty (pending)
+        level, so a vertex may move several times before its move is
+        reported — once, at its final level.  Ghost levels stay as they
+        were at the last exchange until :meth:`apply_moves`.
+        """
+        moves: dict[int, int] = {}
+        if rise:
+            buckets, step = self._dirty, self.rise_level
+        else:
+            buckets, step = self._pending, self.desaturate_level
+        while buckets:
+            step(min(buckets), moves)
+        return moves
+
+    def rise_level(self, level: int, moves: dict[int, int]) -> None:
         """Process this shard's dirty bucket at ``level`` (one Algorithm-2
-        level iteration) and return the resulting move events.
+        level iteration), recording each mover's new level in ``moves``.
 
         Identical decisions to the monolithic loop, with one boundary
         difference: a ghost up-neighbor crossing its Invariant-1 bound
@@ -231,16 +251,14 @@ class ShardKernel(PLDS):
         (``_move_up_to`` uses a ``>``-bound check, so the owner-side
         mark is violation-driven and robust to stale mirror counts).
         """
-        moves: list[MoveEvent] = []
         tracker = self.tracker
         tracker.add(work=1, depth=1)  # the level-loop iteration itself
         candidates = self._dirty.pop(level, None)
         if not candidates:
-            return moves
+            return
         bounds = self._inv1_bound_int
         bound = bounds[level]
         dirty = self._dirty
-        moved_add = self._moved.add
 
         if self.insertion_strategy == "jump":
             movers = {
@@ -249,16 +267,14 @@ class ShardKernel(PLDS):
                 if rec.level == level and len(rec.up) > bound
             }
             if not movers:
-                return moves
+                return
 
             def rise(v: int) -> None:
                 rec = movers[v]
-                old = rec.level
                 newly_marked = self._move_up_to(
                     rec, self._up_desire_level(rec)
                 )
-                moved_add(v)
-                moves.append((v, old, rec.level))
+                moves[v] = rec.level
                 if len(rec.up) > bounds[rec.level]:
                     newly_marked.append(rec)
                 for wrec in newly_marked:
@@ -271,12 +287,12 @@ class ShardKernel(PLDS):
                         bucket.add(wrec)
 
             tracker.flat_parfor(sorted(movers), rise)
-            return moves
+            return
 
         # Levelwise: the monolithic inlined fast path, minus orientation
         # bookkeeping (unsupported here), plus ghost-mark suppression and
-        # move-event emission.  Aggregate charging is identical: the sum
-        # of |U[v]| over movers as work, one structure-mutation depth.
+        # move recording.  Aggregate charging is identical: the sum of
+        # |U[v]| over movers as work, one structure-mutation depth.
         target = level + 1
         bound_t = bounds[target]
         crossing = bound_t + 1
@@ -289,7 +305,6 @@ class ShardKernel(PLDS):
             up = rec.up
             if len(up) <= bound:
                 continue
-            moved_add(rec.id)
             total_work += len(up)
             stay = None
             for wrec in up:
@@ -325,11 +340,11 @@ class ShardKernel(PLDS):
                 else:
                     slot.update(stay)
             rec.level = target
-            moves.append((rec.id, level, target))
+            moves[rec.id] = target
             if len(up) > bound_t:
                 marked_append(rec)
         if not total_work:
-            return moves
+            return
         tracker.add(total_work, self._mut_depth)
         if marked_next:
             bucket = dirty.get(target)
@@ -337,11 +352,11 @@ class ShardKernel(PLDS):
                 dirty[target] = set(marked_next)
             else:
                 bucket.update(marked_next)
-        return moves
 
-    def desaturate_level(self, level: int) -> list[MoveEvent]:
+    def desaturate_level(self, level: int, moves: dict[int, int]) -> None:
         """Process this shard's pending bucket at ``level`` (one
-        Algorithm-3 level iteration) and return the move events.
+        Algorithm-3 level iteration), recording each mover's new level
+        in ``moves``.
 
         Desire levels are revalidated at move time exactly as in the
         monolithic loop — with ghosts this also absorbs cross-shard
@@ -349,12 +364,11 @@ class ShardKernel(PLDS):
         phase, so a stored desire is only ever too high, and the fresh
         scan (or a later weakened-propagation re-consider) corrects it.
         """
-        moves: list[MoveEvent] = []
         tracker = self.tracker
         tracker.add(work=1, depth=1)
         bucket = self._pending.pop(level, None)
         if not bucket:
-            return moves
+            return
         desire = self._desire
         vertices = self._vertices
         movers = [
@@ -363,9 +377,8 @@ class ShardKernel(PLDS):
             if desire.get(v) == level and vertices[v].level > level
         ]
         if not movers:
-            return moves
+            return
         pending = self._pending
-        moved_add = self._moved.add
 
         def descend(v: int) -> None:
             rec = vertices[v]
@@ -381,10 +394,8 @@ class ShardKernel(PLDS):
                 else:
                     desire.pop(v, None)
                 return
-            old = rec.level
             weakened = self._move_down(rec, level)
-            moved_add(v)
-            moves.append((v, old, level))
+            moves[v] = level
             desire.pop(v, None)
             for wrec in weakened:
                 if wrec.ghost:
@@ -393,22 +404,25 @@ class ShardKernel(PLDS):
                 self._consider(wrec)
 
         tracker.flat_parfor(sorted(movers), descend)
-        return moves
 
-    def apply_moves(self, events: Iterable[MoveEvent]) -> None:
+    def apply_moves(self, events: list[MoveEvent]) -> None:
         """Replay remote move events onto this shard's ghost replicas.
 
+        ``events`` holds at most one event per ghost, sorted by vertex.
         Upward events re-mark local neighbors that now violate
         Invariant 1; downward events re-consider local neighbors whose
         ``up*`` shrank.  All fallout is local by construction (ghost
-        adjacency holds local records only).
+        adjacency holds local records only), and no ghost is adjacent to
+        another, so the replays are independent moves: one
+        ``flat_parfor`` (sum of the works, max of the depths).
         """
+        ghosts = self._ghosts
         dirty = self._dirty
         desire = self._desire
-        for v, _old, new in events:
-            rec = self._ghosts.get(v)
-            if rec is None or rec.level == new:
-                continue
+
+        def replay(event: MoveEvent) -> None:
+            rec = ghosts[event[0]]
+            new = event[1]
             if new > rec.level:
                 for wrec in self._move_up_to(rec, new):
                     bucket = dirty.get(wrec.level)
@@ -420,6 +434,8 @@ class ShardKernel(PLDS):
                 for wrec in self._move_down(rec, new):
                     desire.pop(wrec.id, None)
                     self._consider(wrec)
+
+        self.tracker.flat_parfor(events, replay)
 
     def _consider(self, rec: _VertexRecord) -> None:
         """Algorithm 3's Invariant-2 check + desire enqueue for a local
@@ -437,12 +453,6 @@ class ShardKernel(PLDS):
                 self._pending[dl] = {rec.id}
             else:
                 bucket.add(rec.id)
-
-    def take_moved(self) -> set[int]:
-        """Local vertices moved since the last call (and reset)."""
-        moved = self._moved
-        self._moved = set()
-        return moved
 
     # ------------------------------------------------------------------
     # Shard-local rollback (the ``shard.apply`` fault boundary)
@@ -472,7 +482,6 @@ class ShardKernel(PLDS):
             "ghosts": {v: rec.level for v, rec in self._ghosts.items()},
             "pairs": pairs,
             "m": self._m,
-            "moved": set(self._moved),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -492,7 +501,6 @@ class ShardKernel(PLDS):
             rw = self._vertices.get(w) or self._ghosts[w]
             self._link_records(ru, rw)
         self._m = state["m"]
-        self._moved = set(state["moved"])
         self._dirty = {}
         self._desire = {}
         self._pending = {}

@@ -20,7 +20,7 @@ Two strategies:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = ["Partitioner"]
 
@@ -64,20 +64,9 @@ class Partitioner:
         s = self._assignment.get(v)
         return s if s is not None else v % self.num_shards
 
-    def owner_of_edge(self, u: int, v: int) -> int:
-        """Owner shard of edge {u, v}: the owner of its min endpoint."""
-        return self.owner(u if u < v else v)
-
     def assignment_items(self) -> list[list[int]]:
         """Sorted ``[vertex, shard]`` pairs (JSON-friendly, for snapshots)."""
         return sorted([v, s] for v, s in self._assignment.items())
-
-    def shard_sizes(self, vertices: Iterable[int]) -> list[int]:
-        """How many of ``vertices`` each shard owns (diagnostics)."""
-        sizes = [0] * self.num_shards
-        for v in vertices:
-            sizes[self.owner(v)] += 1
-        return sizes
 
     @classmethod
     def degree_balanced(

@@ -8,7 +8,10 @@ and primitive/reference agreement.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import networkx as nx
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from repro.parallel.primitives import (
     parallel_semisort,
     parallel_sort,
 )
+from repro.shard import Coordinator
 from repro.static_kcore.approx import approx_coreness_static
 from repro.static_kcore.exact import ParallelExactKCore, exact_coreness
 
@@ -170,6 +174,67 @@ class TestPLDSProperties:
             assert not singles.check_invariants()
 
         apply_script(script, step)
+
+
+@st.composite
+def growing_script_strategy(draw):
+    """A toggle script over an id range that widens step by step, so some
+    vertices first appear mid-stream (after a degree partition's
+    bootstrap, those fall back to hash ownership).  Each step either
+    grows or shrinks the graph, flipping a drawn coin for every absent
+    (or live) pair of its range: graphs get dense enough for multi-level
+    rises, and a shrinking step deletes about half the live edges at
+    once, so desaturation crosses shards too."""
+    script: list[list[tuple[int, int]]] = []
+    live: set[tuple[int, int]] = set()
+    for i in range(draw(st.integers(1, 6))):
+        grow = i == 0 or draw(st.booleans())
+        pairs = [e for e in combinations(range(8 + 2 * i), 2) if (e in live) != grow]
+        flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        step = [e for e, flip in zip(pairs, flips) if flip]
+        live.symmetric_difference_update(step)
+        script.append(step)
+    return script
+
+
+def assert_sharded_matches_monolithic(script, n_hint, shards, partition, strategy):
+    """Run ``script`` on ``Coordinator`` and ``PLDS`` side by side; after
+    every batch the estimates are equal and every cross-shard invariant
+    (ghost level == owner level included) holds."""
+    mono = PLDS(n_hint=n_hint, insertion_strategy=strategy)
+    coord = Coordinator(
+        n_hint, shards=shards, partition=partition, insertion_strategy=strategy
+    )
+
+    def step(batch, current):
+        mono.update(batch)
+        if partition == "degree" and coord.num_vertices == 0:
+            coord.initialize(batch.insertions)
+        else:
+            coord.update(batch)
+        assert coord.coreness_estimates() == mono.coreness_estimates()
+        assert coord.check_invariants() == []
+
+    apply_script(script, step)
+    assert coord.n_hint == mono.n_hint
+
+
+@pytest.mark.shard
+class TestShardedProperties:
+    @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
+    @pytest.mark.parametrize("partition", ["hash", "degree"])
+    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    @LOOSE
+    @given(growing_script_strategy())
+    def test_sharded_matches_monolithic(self, shards, partition, strategy, script):
+        assert_sharded_matches_monolithic(script, 32, shards, partition, strategy)
+
+    @LOOSE
+    @given(growing_script_strategy())
+    def test_sharded_rebuild_matches_monolithic(self, script):
+        # n_hint 4 is outgrown mid-stream: the coordinated rebuild must
+        # land every shard on the monolithic trajectory.
+        assert_sharded_matches_monolithic(script, 4, 4, "hash", "levelwise")
 
 
 class TestFrameworkProperties:

@@ -125,8 +125,8 @@ class TestPartitioner:
         part = Partitioner(4)
         edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
         for u, v in edges:
-            owner = part.owner_of_edge(u, v)
-            assert owner == part.owner_of_edge(v, u) == part.owner(min(u, v))
+            owner = part.owner(min(u, v))
+            assert owner == part.owner(min(v, u))
             assert 0 <= owner < 4
 
     def test_hash_fallback_and_assignment_overlay(self) -> None:
@@ -171,7 +171,7 @@ class TestPartitioner:
         # owner covers the edge set with no duplicates.
         owned: dict[int, list] = {s: [] for s in range(4)}
         for u, v in edges:
-            owned[part.owner_of_edge(u, v)].append((u, v))
+            owned[part.owner(min(u, v))].append((u, v))
         flat = [e for group in owned.values() for e in group]
         assert sorted(flat) == sorted(edges)
 
@@ -291,6 +291,75 @@ class TestShardFaultIsolation:
         # The failed scatter left the structure rolled back and clean.
         assert not coord.has_edge(2, 3)
         assert coord.check_invariants() == []
+
+
+# ----------------------------------------------------------------------
+# Round structure: local quiescence, collapsed events, parallel replay
+# ----------------------------------------------------------------------
+
+
+class TestRoundStructure:
+    def test_multi_level_rise_reaches_each_mirror_as_one_event(
+        self, monkeypatch
+    ) -> None:
+        # A clique on the even ids lives on shard 0 and rises many levels
+        # in its first round; vertex 1 (shard 1) mirrors vertex 0 only.
+        coord = Coordinator(_N_HINT, shards=2)
+        evens = range(0, 24, 2)
+        clique = [(u, w) for u in evens for w in evens if u < w]
+        mirror = coord.kernels[1]
+        apply_moves = mirror.apply_moves
+        replayed: list[list[tuple[int, int, int]]] = []
+
+        def spy(events):
+            replayed.append(
+                [(v, mirror._ghosts[v].level, new) for v, new in events]
+            )
+            apply_moves(events)
+
+        monkeypatch.setattr(mirror, "apply_moves", spy)
+        coord.update(Batch(insertions=clique + [(0, 1)]))
+        for events in replayed:
+            ids = [v for v, _old, _new in events]
+            assert ids == sorted(set(ids))
+        zero = [
+            (old, new) for events in replayed for v, old, new in events if v == 0
+        ]
+        assert len(zero) == 1
+        old, new = zero[0]
+        assert new - old > 1 and new == coord.level(0)
+        assert coord.last_rounds == 1
+        assert coord.check_invariants() == []
+
+    def test_ghost_replay_charges_sum_work_max_depth(self) -> None:
+        # Shard 0 mirrors the odd ids; vertex 2k+1 is adjacent to the
+        # first 2k+2 even ids, so the replays differ in work.
+        coord = Coordinator(_N_HINT, shards=2)
+        coord.update(
+            Batch(
+                insertions=[
+                    (w, g) for g in (1, 3, 5, 7) for w in range(0, g + 1, 2)
+                ]
+            )
+        )
+        kernel = coord.kernels[0]
+        events = [(g, kernel._ghosts[g].level + 2) for g in (1, 3, 5, 7)]
+        state = kernel.capture_state()
+        alone = []
+        for ev in events:
+            kernel.restore_state(state)
+            since = kernel.tracker.snapshot()
+            kernel.apply_moves([ev])
+            delta = kernel.tracker.delta(since)
+            alone.append((delta.work, delta.depth))
+        kernel.restore_state(state)
+        since = kernel.tracker.snapshot()
+        kernel.apply_moves(events)
+        delta = kernel.tracker.delta(since)
+        assert len({w for w, _d in alone}) > 1
+        assert delta.work == sum(w for w, _d in alone)
+        assert delta.depth == max(d for _w, d in alone)
+        assert delta.depth < sum(d for _w, d in alone)
 
 
 # ----------------------------------------------------------------------
