@@ -94,6 +94,18 @@ def _is_sorted_unique(items: list[int]) -> bool:
     return all(items[i] < items[i + 1] for i in range(len(items) - 1))
 
 
+class _LevelOverflow(IndexError):
+    """An insertion cascade must lift a vertex past the top level.
+
+    That needs a degree above the top level's Invariant-1 bound, at
+    least ``upper_coeff·(1+δ)·n_hint``, so with the paper's coefficients
+    only a batch that outgrew the sizing hint (and would rebuild anyway)
+    raises it.  :meth:`PLDS._rebalance` answers with a grown rebuild;
+    code that shares the level table but not that handler (the shard
+    kernels) still sees an ``IndexError``.
+    """
+
+
 @dataclass
 class UpdateResult:
     """What :meth:`PLDS.update` reports about one batch (Algorithm 5).
@@ -573,7 +585,13 @@ class PLDS(QueryView):
         (Algorithm 3)."""
         moved: set[int] = set()
         if batch.insertions:
-            self._rebalance_insertions(batch.insertions, moved)
+            try:
+                self._rebalance_insertions(batch.insertions, moved)
+            except _LevelOverflow:
+                # Every overflow point leaves each record's U and L
+                # holding exactly its neighbors, which is all a rebuild
+                # reads: re-level everything on a larger table.
+                self._maybe_rebuild(2 * self.n_hint)
         if batch.deletions:
             self._rebalance_deletions(batch.deletions, moved)
         return moved
@@ -614,16 +632,48 @@ class PLDS(QueryView):
         tracker.add(work=2 * len(insertions), depth=self._mut_depth)
         record = self._record
         link = self._link_records
-        for u, v in insertions:
-            ru = record(u)
-            rv = record(v)
-            link(ru, rv)
-            marks[ru.level].append(u)
-            marks[rv.level].append(v)
+        bulk = not self._m and self.insertion_strategy == "levelwise"
         self._m += len(insertions)
+        if not bulk:
+            for u, v in insertions:
+                ru = record(u)
+                rv = record(v)
+                link(ru, rv)
+                marks[ru.level].append(u)
+                marks[rv.level].append(v)
+        else:
+            # An edgeless levelwise start: if every endpoint sits at level
+            # 0, the batch is a bulk load and :meth:`_bulk_peel` runs it.
+            # Two level-0 records link into each other's U-sets.
+            get = vertices.get
+            for u, v in insertions:
+                ru = get(u) or record(u)
+                rv = get(v) or record(v)
+                if ru.level or rv.level:
+                    bulk = False
+                    link(ru, rv)
+                else:
+                    ru.up.add(rv)
+                    rv.up.add(ru)
+                    ru.deg += 1
+                    rv.deg += 1
+            if bulk:
+                self._bulk_peel(insertions, moved)
+                return
+            for u, v in insertions:
+                marks[vertices[u].level].append(u)
+                marks[vertices[v].level].append(v)
         _merge_marks(dirty, marks)
+        self._rise(dirty, moved)
 
+    def _rise(self, dirty: dict[int, list[int]], moved: set[int]) -> None:
+        """Algorithm 2's level loop over the linked batch's ``dirty``
+        buckets (level -> sorted-unique ids of marked vertices)."""
+        tracker = self.tracker
+        vertices = self._vertices
+        marks: defaultdict[int, list[int]] = defaultdict(list)
         bounds = self._inv1_bound_int
+        top = self.num_levels - 1
         jump = self.insertion_strategy == "jump"
 
         def rise(v: int) -> None:
@@ -651,6 +701,12 @@ class PLDS(QueryView):
                 fault_plan.hit("plds.rise")
             level = min(dirty)
             candidates = dirty.pop(level)
+            if level == top and not jump and any(
+                len(rec.up) > bounds[top]
+                for v in candidates
+                if (rec := vertices[v]).level == top
+            ):
+                raise _LevelOverflow  # a mover would leave the table
             span = (
                 tracer.begin(
                     "plds.rise", tracker, level=level, queue=len(candidates)
@@ -678,7 +734,12 @@ class PLDS(QueryView):
                 # mover list is in canonical order without a re-sort.
                 if __debug__:
                     assert _is_sorted_unique(movers)
-                tracker.flat_parfor(movers, rise)
+                try:
+                    tracker.flat_parfor(movers, rise)
+                except _LevelOverflow:
+                    if span is not None:
+                        tracer.end(span)
+                    raise
                 _merge_marks(dirty, marks)
                 if span is not None:
                     span.attrs["movers"] = len(movers)
@@ -825,6 +886,138 @@ class PLDS(QueryView):
                     dirty[target] = sorted(set(marked_next).union(bucket))
             if span is not None:
                 tracer.end(span)
+
+    def _bulk_peel(
+        self, insertions: list[tuple[int, int]], moved: set[int]
+    ) -> None:
+        """Algorithm 2 from an edgeless start, as one level-synchronous peel.
+
+        Every endpoint starts at level 0 with all its neighbors in U, so
+        the level loop ends at the least fixpoint of Invariant 1: with
+        S_0 the endpoints, level j keeps each v in S_j with
+        ``deg_{S_j}(v) <= bound(j)`` and the rest form S_{j+1}.  The
+        loop's movers at level j are exactly S_{j+1}, each with
+        ``|U[v]| = deg_{S_j}(v)``, so this emits the loop's charges and
+        events per popped level: level 0 always, level i >= 1 iff
+        S_{i+1} is non-empty, each with one ``plds.rise`` fault hit, span
+        and metric sample (``queue`` = |S_0| at level 0, |S_{i+1}|
+        above), the (1, 1) iteration charge and, with movers,
+        ``(sum of deg_{S_i} over S_{i+1}, mut_depth)``.
+
+        O(n + m + K) instead of the loop's sum of ``deg(v)·ℓ(v)``: each
+        vertex waits in the bucket of the first level whose bound admits
+        its live degree, and moves bucket only when a decrement (one per
+        edge) crosses a bound.  A record splits its neighbors into U/L
+        once, as it settles.  ``_touched`` gets the loop's set: every
+        inserted edge with an endpoint in S_1.
+        """
+        tracker = self.tracker
+        bounds = self._inv1_bound_int
+        num_levels = self.num_levels
+        mut_depth = self._mut_depth
+        fault_plan = _faults.ACTIVE
+        tracer = _tracing.ACTIVE
+        mreg = _metrics.ACTIVE
+        # S_0 with degrees: the structure held no edges, so the endpoints
+        # are exactly the records of non-zero degree.
+        live = {rec: rec.deg for rec in self._vertices.values() if rec.deg}
+        live_get = live.get
+        queue = len(live)
+        # due[d]: the first level whose bound admits degree d (num_levels
+        # when none does); bucket[due[d]] holds the records waiting there.
+        due: list[int] = []
+        level = 0
+        for d in range(max(live.values()) + 1):
+            while level < num_levels and bounds[level] < d:
+                level += 1
+            due.append(level)
+        bucket: list[list[_VertexRecord]] = [[] for _ in range(num_levels + 1)]
+        for rec, d in live.items():
+            bucket[due[d]].append(rec)
+        total = 2 * len(insertions)  # sum of the live degrees
+        span = None
+        for level in range(num_levels):
+            stay: list[_VertexRecord] = []
+            for rec in bucket[level]:  # stale entries are already settled
+                d = live.pop(rec, None)
+                if d is not None:
+                    stay.append(rec)
+                    total -= d
+            # ``live`` is now S_{level+1}, and ``total`` its degrees in S_level.
+            if live or not level:
+                if span is not None:
+                    tracer.end(span)
+                if fault_plan is not None:
+                    fault_plan.hit("plds.rise")
+                if live and level == num_levels - 1:
+                    # By now the loop has moved every vertex of S_1.
+                    moved.update(rec.id for rec in stay)
+                    moved.update(rec.id for rec in live)
+                    raise _LevelOverflow
+                span = (
+                    tracer.begin(
+                        "plds.rise",
+                        tracker,
+                        level=level,
+                        queue=len(live) if level else queue,
+                    )
+                    if tracer is not None
+                    else None
+                )
+                if mreg is not None:
+                    mreg.inc("plds.rise_levels")
+                    mreg.observe(
+                        "plds.cascade_queue",
+                        len(live) if level else queue,
+                        phase="rise",
+                    )
+                tracker.add(work=1, depth=1)
+                if live:
+                    tracker.add(total, mut_depth)
+            if level:
+                for rec in stay:
+                    rec.level = level
+                    moved.add(rec.id)
+            nxt = level + 1
+            for rec in stay:
+                below = None
+                for wrec in rec.up:
+                    d = live_get(wrec)
+                    if d is None:
+                        # Settled: at this level it stays in U, lower
+                        # it moves to L.
+                        if wrec.level < level:
+                            if below is None:
+                                below = [wrec]
+                            else:
+                                below.append(wrec)
+                        continue
+                    d -= 1
+                    live[wrec] = d
+                    total -= 1
+                    now = due[d]
+                    if now != due[d + 1] and due[d + 1] > nxt:
+                        # The decrement crossed a bound: wait earlier.
+                        bucket[now if now > nxt else nxt].append(wrec)
+                if below is not None:
+                    rec.up.difference_update(below)
+                    down = rec.down
+                    for wrec in below:
+                        slot = down.get(wrec.level)
+                        if slot is None:
+                            down[wrec.level] = {wrec}
+                        else:
+                            slot.add(wrec)
+            if not live:
+                break
+        if span is not None:
+            tracer.end(span)
+        if self.track_orientation:
+            vertices = self._vertices
+            touched = self._touched
+            for u, v in insertions:
+                if vertices[u].level or vertices[v].level:
+                    touched.add((u, v) if u <= v else (v, u))
 
     def _move_up(self, rec: "_VertexRecord") -> list["_VertexRecord"]:
         """Move ``rec``'s vertex one level up (Algorithm 2's unit step).
@@ -981,14 +1174,14 @@ class PLDS(QueryView):
         cnt = len(rec.up)
         bounds = self._inv1_bound_int
         counts_get = counts.get
-        j = old
-        while True:
-            j += 1
+        for j in range(old + 1, self.num_levels):
             dropped = counts_get(j - 1)
             if dropped:
                 cnt -= dropped
             if cnt <= bounds[j]:
                 break
+        else:
+            raise _LevelOverflow  # no level in the table admits v
         self.tracker.add(
             work=max(1, len(rec.up) + (j - old)),
             depth=self._levels_depth,
@@ -1316,14 +1509,16 @@ class PLDS(QueryView):
     # Rebuild (Section 5.9) and diagnostics
     # ------------------------------------------------------------------
 
-    def _maybe_rebuild(self) -> None:
+    def _maybe_rebuild(self, min_hint: int = 0) -> None:
         # Section 5.9: rebuild once the live vertex count outgrows the
         # sizing hint, or after n/2 vertex updates have accumulated (the
         # rebuild cost amortizes to O(log² n) per vertex update).
         # The hint is sized at twice the vertex count of the last rebuild,
         # so n_hint // 4 approximates the paper's "n/2 vertex updates".
+        # A non-zero ``min_hint`` forces a rebuild to at least that hint.
         if (
-            self.num_vertices <= self.n_hint
+            not min_hint
+            and self.num_vertices <= self.n_hint
             and self._vertex_updates <= max(self.n_hint // 4, 8)
         ):
             return
@@ -1332,7 +1527,7 @@ class PLDS(QueryView):
             mreg.inc("plds.rebuilds")
         tracer = _tracing.ACTIVE
         if tracer is None:
-            self._rebuild()
+            self._rebuild(min_hint)
             return
         with tracer.span(
             "plds.rebuild",
@@ -1340,14 +1535,14 @@ class PLDS(QueryView):
             vertices=self.num_vertices,
             edges=self._m,
         ):
-            self._rebuild()
+            self._rebuild(min_hint)
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, min_hint: int = 0) -> None:
         edges = list(self.edges())
         vertices = list(self.vertices())
         # Resize to the live vertex count (growing or shrinking), so the
         # level count K tracks the current n as Section 5.9 requires.
-        new_hint = max(2, 2 * len(vertices))
+        new_hint = max(2, 2 * len(vertices), min_hint)
         self.tracker.add(
             work=max(1, len(edges) + len(vertices)),
             depth=log2_ceil(max(2, len(edges))) + 1,

@@ -26,7 +26,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from .dynamic_graph import canonical_edge
 
@@ -45,23 +45,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeUpdate:
-    """A single timestamped edge update.
-
-    Vertex ids are non-negative by construction — a negative id is a
-    corrupted update, not a graph mutation, and is rejected here so it
-    cannot travel any further down the pipeline.
-    """
-
+class _EdgeUpdateFields(NamedTuple):
     u: int
     v: int
     is_insert: bool
     timestamp: int = 0
 
-    def __post_init__(self) -> None:
-        if self.u < 0 or self.v < 0:
+
+class EdgeUpdate(_EdgeUpdateFields):
+    """A single timestamped edge update.
+
+    Vertex ids are non-negative by construction — a negative id is a
+    corrupted update, not a graph mutation, and is rejected here so it
+    cannot travel any further down the pipeline.  An immutable tuple
+    type, built once per raw update without the per-field
+    ``object.__setattr__`` calls of a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, u: int, v: int, is_insert: bool, timestamp: int = 0
+    ) -> "EdgeUpdate":
+        self = tuple.__new__(cls, (u, v, is_insert, timestamp))
+        if u < 0 or v < 0:
             raise ValueError(f"negative vertex id in update {self!r}")
+        return self
 
     @property
     def edge(self) -> tuple[int, int]:

@@ -287,9 +287,9 @@ def _spy_rebuilds(monkeypatch, svc, plan):
     original = impl._rebuild
     calls = []
 
-    def spy():
+    def spy(*args):
         calls.append((impl, plan.counts["plds.rise"]))
-        original()
+        original(*args)
 
     monkeypatch.setattr(impl, "_rebuild", spy)
     return calls

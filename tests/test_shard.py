@@ -20,6 +20,7 @@ import pytest
 from repro.core.plds import PLDS
 from repro.faults import FaultPlan, FaultPoint, active
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.graphs.generators import erdos_renyi
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.streams import Batch
 from repro.obs.metrics import MetricsRegistry, collecting
@@ -113,6 +114,27 @@ class TestGoldenParity:
             b.tracker.work,
             b.tracker.depth,
         )
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_dense_bulk_deletes_track_monolithic(self, shards: int) -> None:
+        # Cross-shard desaturation: a ghost replayed downward weakens its
+        # local neighbors, which must re-check Invariant 2 then
+        # (``ShardKernel.apply_moves``).  The golden stream is too sparse
+        # to need it; without it, this dense graph deleted in large
+        # batches diverges from the monolithic estimates by batch 5.
+        edges = erdos_renyi(60, 1200, seed=3)
+        mono = PLDS(n_hint=_N_HINT)
+        coord = Coordinator(_N_HINT, shards=shards)
+        batches = [Batch(insertions=edges)] + [
+            Batch(deletions=edges[i : i + 150]) for i in range(0, 1050, 150)
+        ]
+        for i, b in enumerate(batches):
+            mono.update(b)
+            coord.update(b)
+            assert coord.coreness_estimates() == mono.coreness_estimates(), (
+                f"batch {i} diverged at {shards} shards"
+            )
+        assert coord.check_invariants() == []
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,28 @@ from repro.graphs.streams import (
 )
 
 EDGES = erdos_renyi(60, 150, seed=3)
+
+
+class TestEdgeUpdate:
+    def test_negative_id_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"negative vertex id .*u=-1"):
+            EdgeUpdate(-1, 2, True)
+        with pytest.raises(ValueError, match=r"negative vertex id .*v=-2"):
+            EdgeUpdate(1, -2, is_insert=False, timestamp=3)
+
+    def test_immutable_named_tuple(self):
+        upd = EdgeUpdate(5, 2, True, timestamp=4)
+        with pytest.raises(AttributeError):
+            upd.u = 7
+        with pytest.raises(TypeError):
+            upd[0] = 7
+        assert not hasattr(upd, "__dict__")
+        assert (upd.u, upd.v, upd.is_insert, upd.timestamp) == (5, 2, True, 4)
+        assert upd.edge == (2, 5)
+        assert EdgeUpdate(5, 2, True) == EdgeUpdate(5, 2, True, 0)
+        assert hash(upd) == hash(EdgeUpdate(5, 2, True, 4))
+        assert len({upd, EdgeUpdate(5, 2, True, 4)}) == 1
+        assert repr(upd) == "EdgeUpdate(u=5, v=2, is_insert=True, timestamp=4)"
 
 
 class TestInsertionBatches:
