@@ -18,9 +18,11 @@ depth equals the work.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from ..graphs.streams import Batch
 from ..obs import metrics as _metrics
-from .plds import PLDS
+from .plds import PLDS, _LevelOverflow, _Pairs
 
 __all__ = ["LDS"]
 
@@ -34,18 +36,39 @@ class LDS(PLDS):
 
     _SPAN_NAME = "lds.update"
 
-    def _rebalance(self, batch: Batch) -> set[int]:
-        # The batch is validated: link and unlink without a re-check.
+    def _rebalance(
+        self, batch: Batch, ins_pairs: _Pairs | None, del_pairs: _Pairs | None
+    ) -> set[int]:
+        # The batch is validated: link and unlink the records the check
+        # resolved, without a re-check.
         moved: set[int] = set()
-        vertices = self._vertices
         tracker = self.tracker
-        for u, v in batch.insertions:
-            self._link_records(self._record(u), self._record(v))
+        record = self._record
+        link = self._link_records
+        rebuilt = False
+        for (u, v), (ru, rv) in zip(
+            batch.insertions, ins_pairs or repeat((None, None))
+        ):
+            if rebuilt or ru is None or rv is None:
+                ru = record(u)
+                rv = record(v)
+            link(ru, rv)
             self._m += 1
             tracker.add(work=2, depth=2)
-            self._fix_insertion_cascade({u, v}, moved)
-        for u, v in batch.deletions:
-            self._unlink_records(vertices[u], vertices[v])
+            try:
+                self._fix_insertion_cascade({u, v}, moved)
+            except _LevelOverflow:
+                # As in PLDS: re-level everything on a doubled table.
+                # The rebuild replaces every record, so the remaining
+                # edges resolve against the rebuilt ones.
+                self._maybe_rebuild(2 * self.n_hint)
+                rebuilt = True
+        vertices = self._vertices
+        unlink = self._unlink_records
+        if rebuilt or del_pairs is None:
+            del_pairs = [(vertices[u], vertices[v]) for u, v in batch.deletions]
+        for (u, v), (ru, rv) in zip(batch.deletions, del_pairs):
+            unlink(ru, rv)
             self._m -= 1
             tracker.add(work=2, depth=2)
             self._fix_deletion_cascade({u, v}, moved)
@@ -56,6 +79,7 @@ class LDS(PLDS):
     def _fix_insertion_cascade(self, seeds: set[int], moved: set[int]) -> None:
         tracker = self.tracker
         bounds = self._inv1_bound_int
+        top = self.num_levels - 1
         mreg = _metrics.ACTIVE
         queue = set(seeds)
         while queue:
@@ -64,6 +88,8 @@ class LDS(PLDS):
             if rec is None:
                 continue
             while len(rec.up) > bounds[rec.level]:
+                if rec.level == top:
+                    raise _LevelOverflow  # v would leave the table
                 if mreg is not None:
                     mreg.inc("lds.cascade_moves", phase="insert")
                 before = tracker.work

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from .. import faults as _faults
@@ -181,6 +182,11 @@ class _VertexRecord:
         for s in self.down.values():
             for r in s:
                 yield r.id
+
+
+#: Endpoint records of a batch's edges, as resolved by the batch check
+#: (:meth:`PLDS._lookup_edges`); ``None`` for a vertex not yet stored.
+_Pairs = list[tuple[_VertexRecord | None, _VertexRecord | None]]
 
 
 class PLDS(QueryView):
@@ -349,19 +355,6 @@ class PLDS(QueryView):
         rec = self._vertices.get(v)
         return rec.level if rec is not None else 0
 
-    def up_degree(self, v: int) -> int:
-        """``up(v)``: number of neighbors at levels >= ``ℓ(v)``."""
-        rec = self._vertices.get(v)
-        return len(rec.up) if rec is not None else 0
-
-    def up_star_degree(self, v: int) -> int:
-        """``up*(v)``: number of neighbors at levels >= ``ℓ(v) - 1``."""
-        rec = self._vertices.get(v)
-        if rec is None:
-            return 0
-        below = rec.down.get(rec.level - 1)
-        return len(rec.up) + (len(below) if below else 0)
-
     def degree(self, v: int) -> int:
         rec = self._vertices.get(v)
         return rec.deg if rec is not None else 0
@@ -442,20 +435,6 @@ class PLDS(QueryView):
                 out.append(wrec.id)
         out.sort()
         return out
-
-    def out_degree(self, v: int) -> int:
-        # Counts in place — the materialized list out_neighbors() builds
-        # is pure overhead when only the count is needed.
-        rec = self._vertices.get(v)
-        if rec is None:
-            return 0
-        lv = rec.level
-        count = 0
-        for wrec in rec.up:
-            lw = wrec.level
-            if lw > lv or (lw == lv and v < wrec.id):
-                count += 1
-        return count
 
     def in_neighbors(self, v: int) -> list[int]:
         """Neighbors w with edge oriented w -> v."""
@@ -553,7 +532,7 @@ class PLDS(QueryView):
         return result
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
-        inserted, deleted = self._validate_batch(batch)
+        inserted, deleted, ins_pairs, del_pairs = self._validate_batch(batch)
         result = UpdateResult()
         self._touched = set()
         track = self.track_orientation
@@ -573,60 +552,95 @@ class PLDS(QueryView):
             inserted.clear()
             deleted.clear()
 
-        result.moved_vertices = self._rebalance(batch)
+        result.moved_vertices = self._rebalance(batch, ins_pairs, del_pairs)
         if track:
             self._finish_orientation(inserted, result)
         self._maybe_rebuild()
         return result
 
-    def _rebalance(self, batch: Batch) -> set[int]:
+    def _rebalance(
+        self, batch: Batch, ins_pairs: _Pairs | None, del_pairs: _Pairs | None
+    ) -> set[int]:
         """Apply a validated batch to the structure; return the moved
         vertices.  Insertions first (Algorithm 2), then deletions
-        (Algorithm 3)."""
+        (Algorithm 3), each from the endpoint records the check
+        resolved (:meth:`_lookup_edges`)."""
         moved: set[int] = set()
         if batch.insertions:
             try:
-                self._rebalance_insertions(batch.insertions, moved)
+                self._rebalance_insertions(batch.insertions, ins_pairs, moved)
             except _LevelOverflow:
                 # Every overflow point leaves each record's U and L
                 # holding exactly its neighbors, which is all a rebuild
-                # reads: re-level everything on a larger table.
+                # reads: re-level everything on a larger table.  The
+                # rebuild replaces every record, so the deletions'
+                # pairs are stale: resolve them again.
                 self._maybe_rebuild(2 * self.n_hint)
+                del_pairs = None
         if batch.deletions:
-            self._rebalance_deletions(batch.deletions, moved)
+            self._rebalance_deletions(batch.deletions, del_pairs, moved)
         return moved
 
     def insert_edges(self, edges: Iterable[tuple[int, int]]) -> UpdateResult:
         """Convenience wrapper: one insertion-only batch."""
         return self.update(Batch(insertions=list(edges)))
 
-    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> UpdateResult:
-        """Convenience wrapper: one deletion-only batch."""
-        return self.update(Batch(deletions=list(edges)))
-
     def _validate_batch(
         self, batch: Batch
-    ) -> tuple[dict[tuple[int, int], None], dict[tuple[int, int], None]]:
-        """Check the batch contract before mutating anything: the
-        batch's only edge lookup, so the structure edits that follow
-        link and unlink without re-checking.  Returns the canonical
-        insertions and deletions in batch order."""
+    ) -> tuple[dict, dict, _Pairs | None, _Pairs | None]:
+        """Check the batch contract before mutating anything, charged as
+        one batched hash-table step.  Its membership step
+        (:meth:`_lookup_edges`) is the batch's only edge lookup, so the
+        structure edits that follow link and unlink from the record
+        pairs it resolved.  Returns the canonical insertions and
+        deletions in batch order, then their pairs."""
         self.tracker.add(work=max(1, len(batch)), depth=5)
-        return check_batch(batch, self.has_edge)
+        return check_batch(batch, self._lookup_edges)
+
+    def _lookup_edges(
+        self, edges: Iterable[tuple[int, int]]
+    ) -> tuple[int, _Pairs | None]:
+        """:func:`check_batch`'s membership step: how many of the
+        canonical ``edges`` the structure holds, and each edge's
+        ``(ru, rv)`` endpoint records (``None`` for a vertex not yet
+        stored).  An edgeless structure answers "none present" at once
+        and resolves nothing."""
+        if not self._m:
+            return 0, None
+        get = self._vertices.get
+        pairs: _Pairs = []
+        append = pairs.append
+        present = 0
+        for u, v in edges:
+            ru = get(u)
+            rv = get(v)
+            if ru is not None and rv is not None:
+                # _linked(ru, rv), inlined.
+                if rv.level >= ru.level:
+                    if rv in ru.up:
+                        present += 1
+                elif rv in ru.down.get(rv.level, ()):
+                    present += 1
+            append((ru, rv))
+        return present, pairs
 
     # ------------------------------------------------------------------
     # Algorithm 2: RebalanceInsertions
     # ------------------------------------------------------------------
 
     def _rebalance_insertions(
-        self, insertions: list[tuple[int, int]], moved: set[int]
+        self,
+        insertions: list[tuple[int, int]],
+        pairs: _Pairs | None,
+        moved: set[int],
     ) -> None:
         tracker = self.tracker
         vertices = self._vertices
-        # Link all edges into the structures (parallel hash inserts).  The
-        # batch is validated, so nothing is looked up again here.  Dirty
-        # buckets are sorted-unique id lists (see :func:`_merge_marks`),
-        # so each round's movers come out in canonical order for free.
+        # Link all edges into the structures (parallel hash inserts) from
+        # the records the check resolved; only an endpoint that was not
+        # yet stored is created here, in batch order.  Dirty buckets are
+        # sorted-unique id lists (see :func:`_merge_marks`), so each
+        # round's movers come out in canonical order for free.
         dirty: dict[int, list[int]] = {}
         marks: defaultdict[int, list[int]] = defaultdict(list)
         tracker.add(work=2 * len(insertions), depth=self._mut_depth)
@@ -635,12 +649,37 @@ class PLDS(QueryView):
         bulk = not self._m and self.insertion_strategy == "levelwise"
         self._m += len(insertions)
         if not bulk:
-            for u, v in insertions:
-                ru = record(u)
-                rv = record(v)
-                link(ru, rv)
-                marks[ru.level].append(u)
-                marks[rv.level].append(v)
+            if pairs is None:
+                pairs = repeat((None, None))
+            # The pair is in canonical order and may be reversed from
+            # (u, v); linking is symmetric, and marks are re-sorted.
+            for (u, v), (ru, rv) in zip(insertions, pairs):
+                if ru is None or rv is None:
+                    ru = record(u)
+                    rv = record(v)
+                # _link_records(ru, rv), inlined.
+                lu = ru.level
+                lv = rv.level
+                if lv >= lu:
+                    ru.up.add(rv)
+                else:
+                    slot = ru.down.get(lv)
+                    if slot is None:
+                        ru.down[lv] = {rv}
+                    else:
+                        slot.add(rv)
+                if lu >= lv:
+                    rv.up.add(ru)
+                else:
+                    slot = rv.down.get(lu)
+                    if slot is None:
+                        rv.down[lu] = {ru}
+                    else:
+                        slot.add(ru)
+                ru.deg += 1
+                rv.deg += 1
+                marks[lu].append(ru.id)
+                marks[lv].append(rv.id)
         else:
             # An edgeless levelwise start: if every endpoint sits at level
             # 0, the batch is a bulk load and :meth:`_bulk_peel` runs it.
@@ -1193,16 +1232,19 @@ class PLDS(QueryView):
     # ------------------------------------------------------------------
 
     def _rebalance_deletions(
-        self, deletions: list[tuple[int, int]], moved: set[int]
+        self,
+        deletions: list[tuple[int, int]],
+        pairs: _Pairs | None,
+        moved: set[int],
     ) -> None:
         tracker = self.tracker
         tracker.add(work=2 * len(deletions), depth=self._mut_depth)
         vertices = self._vertices
         unlink = self._unlink_records
         affected: set[_VertexRecord] = set()
-        for u, v in deletions:  # validated: unlink without a re-check
-            ru = vertices[u]
-            rv = vertices[v]
+        if pairs is None:
+            pairs = [(vertices[u], vertices[v]) for u, v in deletions]
+        for ru, rv in pairs:  # validated: unlink without a re-check
             unlink(ru, rv)
             affected.add(ru)
             affected.add(rv)

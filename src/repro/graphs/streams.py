@@ -26,7 +26,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from .dynamic_graph import canonical_edge
 
@@ -188,6 +188,11 @@ class EdgeLookup(Protocol):
     def has_edge(self, u: int, v: int) -> bool: ...
 
 
+#: :func:`check_batch`'s batched membership step: canonical edges in,
+#: ``(how many are present, a per-edge result for the caller)`` out.
+EdgeMembership = Callable[[Iterable[tuple[int, int]]], tuple[int, Any]]
+
+
 def preprocess_batch(
     graph: EdgeLookup,
     updates: Iterable[EdgeUpdate],
@@ -228,50 +233,73 @@ def preprocess_batch(
 
 
 def check_batch(
-    batch: Batch, has_edge: Callable[[int, int], bool]
-) -> tuple[dict[tuple[int, int], None], dict[tuple[int, int], None]]:
+    batch: Batch, lookup: EdgeMembership
+) -> tuple[dict[tuple[int, int], None], dict[tuple[int, int], None], Any, Any]:
     """Check the Section-8 batch contract before anything mutates.
 
-    One pass in batch order (insertions, then deletions) raises
-    ``ValueError`` on the first negative vertex id, self-loop, duplicate
-    insertion or deletion, edge both inserted and deleted, insertion of
-    a present edge or deletion of a missing one.  ``has_edge`` answers
-    membership in the pre-batch graph and is called once per batch
-    edge, with the canonical pair.  Returns the canonical insertions
-    and deletions as insertion-ordered dicts; a pair that is already a
-    canonical tuple is kept as the caller's object.
+    Raises ``ValueError`` on the first negative vertex id, self-loop,
+    duplicate insertion or deletion, edge both inserted and deleted,
+    insertion of a present edge or deletion of a missing one, in batch
+    order (insertions, then deletions).
+
+    Membership in the pre-batch graph is one batched step per phase
+    (the paper's Section-2 batch hash-table model): ``lookup`` is called
+    once per non-empty phase with that phase's canonical edges, as an
+    insertion-ordered dict, and answers ``(present, found)`` — how many
+    of them the graph holds, and whatever per-edge result the caller
+    wants handed back (a :class:`~repro.core.plds.PLDS` returns its
+    endpoint records).  A phase that breaks a structural rule at some
+    edge is looked up only up to that edge, and only a rejected phase
+    is asked again, one edge at a time, to name the first offender.
+
+    Returns the canonical insertions and deletions as insertion-ordered
+    dicts (a pair that is already a canonical tuple is kept as the
+    caller's object), then each phase's ``found`` (``None`` for an
+    empty phase).
     """
     ins: dict[tuple[int, int], None] = {}
-    for e in batch.insertions:
-        u, v = e
-        if u < 0 or v < 0:
-            raise ValueError(f"negative vertex id in insertion ({u},{v})")
-        if u == v:
-            raise ValueError(f"self-loop ({u},{v}) in batch")
-        if u > v or type(e) is not tuple:
-            e = (u, v) if u < v else (v, u)
-        if e in ins:
-            raise ValueError(f"duplicate insertion {e} in batch")
-        if has_edge(*e):
-            raise ValueError(f"insertion of existing edge {e}")
-        ins[e] = None
     dels: dict[tuple[int, int], None] = {}
-    for e in batch.deletions:
-        u, v = e
-        if u < 0 or v < 0:
-            raise ValueError(f"negative vertex id in deletion ({u},{v})")
-        if u == v:
-            raise ValueError(f"self-loop ({u},{v}) in batch")
-        if u > v or type(e) is not tuple:
-            e = (u, v) if u < v else (v, u)
-        if e in dels:
-            raise ValueError(f"duplicate deletion {e} in batch")
-        if e in ins:
-            raise ValueError(f"edge {e} both inserted and deleted in batch")
-        if not has_edge(*e):
-            raise ValueError(f"deletion of missing edge {e}")
-        dels[e] = None
-    return ins, dels
+    found = []
+    for edges, seen, kind in (
+        (batch.insertions, ins, "insertion"),
+        (batch.deletions, dels, "deletion"),
+    ):
+        inserting = seen is ins
+        broken = None
+        for e in edges:
+            u, v = e
+            if u < 0 or v < 0:
+                broken = f"negative vertex id in {kind} ({u},{v})"
+                break
+            if u == v:
+                broken = f"self-loop ({u},{v}) in batch"
+                break
+            if u > v or type(e) is not tuple:
+                e = (u, v) if u < v else (v, u)
+            if e in seen:
+                broken = f"duplicate {kind} {e} in batch"
+                break
+            if not inserting and e in ins:
+                broken = f"edge {e} both inserted and deleted in batch"
+                break
+            seen[e] = None
+        result = None
+        if seen:
+            # The edges before ``broken`` come first in batch order, so
+            # a present insertion or missing deletion among them wins.
+            present, result = lookup(seen)
+            if present != (0 if inserting else len(seen)):
+                for e in seen:
+                    if bool(lookup((e,))[0]) is inserting:
+                        raise ValueError(
+                            f"insertion of existing edge {e}"
+                            if inserting
+                            else f"deletion of missing edge {e}"
+                        )
+        if broken is not None:
+            raise ValueError(broken)
+        found.append(result)
+    return ins, dels, found[0], found[1]
 
 
 # ----------------------------------------------------------------------

@@ -499,6 +499,11 @@ class CoreService:
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self._edges
 
+    def _lookup_edges(self, edges: Iterable[tuple[int, int]]) -> tuple[int, None]:
+        """:func:`check_batch`'s membership step, over the committed
+        edges."""
+        return len(self._edges.intersection(edges)), None
+
     # -- updates ---------------------------------------------------------
 
     def apply_updates(self, updates: Iterable[EdgeUpdate]) -> BatchTelemetry:
@@ -539,7 +544,7 @@ class CoreService:
         rolled-back metering, the span does not once the engine keeps
         its tracker).
         """
-        ins, dels = check_batch(batch, self.has_edge)
+        ins, dels, _, _ = check_batch(batch, self._lookup_edges)
         return self._apply(Batch(insertions=list(ins), deletions=list(dels)))
 
     def _apply(self, batch: Batch) -> BatchTelemetry:

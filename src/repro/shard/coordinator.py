@@ -72,7 +72,7 @@ local records.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterable, Iterator, Mapping
 
 from .. import faults as _faults
@@ -198,7 +198,7 @@ class Coordinator(QueryView):
             and self.num_vertices == 0
             and edges
         ):
-            ins, _ = check_batch(Batch(insertions=edges), self.has_edge)
+            ins = check_batch(Batch(insertions=edges), self._lookup_edges)[0]
             degrees = Counter(chain.from_iterable(ins))
             self.partitioner = Partitioner.degree_balanced(degrees, self.num_shards)
             self.kernels = [
@@ -233,7 +233,7 @@ class Coordinator(QueryView):
 
     def _apply_batch(self, batch: Batch) -> UpdateResult:
         self.tracker.add(work=max(1, len(batch)), depth=5)
-        ins, dels = check_batch(batch, self.has_edge)
+        ins, dels, _, _ = check_batch(batch, self._lookup_edges)
         result = UpdateResult()
         moved = result.moved_vertices
         self.last_rounds = 0
@@ -674,6 +674,10 @@ class Coordinator(QueryView):
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.kernels[self.partitioner.owner(u)].has_edge(u, v)
+
+    def _lookup_edges(self, edges: Iterable[tuple[int, int]]) -> tuple[int, None]:
+        """:func:`check_batch`'s membership step, over :meth:`has_edge`."""
+        return sum(starmap(self.has_edge, edges)), None
 
     @property
     def num_edges(self) -> int:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.lds import LDS
 from repro.core.plds import PLDS
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.streams import Batch, UpdateJournal
+from repro.graphs.streams import Batch, UpdateJournal, check_batch
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.registry import algorithm_keys
 from repro.service import CoreService
@@ -154,6 +154,78 @@ class TestOneContract:
             assert _edge_set(entry) == _edge_set(reference)
         else:
             assert _state(entry) == before
+
+
+def _reference_check(batch: Batch, present: set) -> tuple[list, list]:
+    """The contract stated per edge: every rule, then one membership test,
+    edge by edge in batch order (insertions, then deletions)."""
+    ins: dict = {}
+    dels: dict = {}
+    for phase, seen, name in ((batch.insertions, ins, "insertion"),
+                              (batch.deletions, dels, "deletion")):
+        for u, v in phase:
+            if u < 0 or v < 0:
+                raise ValueError(f"negative vertex id in {name} ({u},{v})")
+            if u == v:
+                raise ValueError(f"self-loop ({u},{v}) in batch")
+            e = (min(u, v), max(u, v))
+            if e in seen:
+                raise ValueError(f"duplicate {name} {e} in batch")
+            if seen is dels and e in ins:
+                raise ValueError(f"edge {e} both inserted and deleted in batch")
+            if seen is ins and e in present:
+                raise ValueError(f"insertion of existing edge {e}")
+            if seen is dels and e not in present:
+                raise ValueError(f"deletion of missing edge {e}")
+            seen[e] = None
+    return list(ins), list(dels)
+
+
+def _outcome(check, batch: Batch) -> tuple:
+    try:
+        return ("ok", check(batch))
+    except ValueError as exc:
+        return ("rejected", str(exc))
+
+
+def _batched(batch: Batch) -> tuple[list, list]:
+    present = set(_BASE)
+    ins, dels, _, _ = check_batch(
+        batch, lambda edges: (sum(e in present for e in edges), None)
+    )
+    return list(ins), list(dels)
+
+
+class TestFirstErrorOrder:
+    """``check_batch`` looks membership up once per phase, yet must name
+    the same first error as the per-edge statement of the contract."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_batches)
+    def test_matches_the_per_edge_reference(self, batch):
+        expected = _outcome(lambda b: _reference_check(b, set(_BASE)), batch)
+        assert _outcome(_batched, batch) == expected
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            (Batch(insertions=[_BASE[0], (3, 3)]), "insertion of existing edge"),
+            (Batch(insertions=[(3, 3), _BASE[0]]), "self-loop"),
+            (Batch(deletions=[_ABSENT[2], (3, 3)]), "deletion of missing edge"),
+            (Batch(deletions=[(3, 3), _ABSENT[2]]), "self-loop"),
+            (Batch(deletions=[_BASE[0], (3, 3)]), "self-loop"),
+        ],
+        ids=["ins-present-then-loop", "ins-loop-then-present",
+             "del-missing-then-loop", "del-loop-then-missing",
+             "del-present-then-loop"],
+    )
+    def test_membership_and_structure_errors_in_batch_order(self, batch, message):
+        reference = _outcome(lambda b: _reference_check(b, set(_BASE)), batch)
+        assert reference[0] == "rejected" and reference[1].startswith(message)
+        assert _outcome(_batched, batch) == reference
+        plds = PLDS(n_hint=_N_HINT)
+        _load(plds)
+        assert _apply(plds, batch) == reference[1]
 
 
 @pytest.mark.parametrize("key", algorithm_keys())

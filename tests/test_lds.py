@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import pytest
+
 from repro.core.invariants import approximation_violations
 from repro.core.lds import LDS
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
@@ -91,3 +95,22 @@ class TestLDSCost:
         lds = LDS(n_hint=41, track_orientation=True)
         res = lds.update(Batch(insertions=edges))
         assert len(res.oriented_insertions) == len(edges)
+
+
+class TestLevelTableOverflow:
+    """A cascade past the top level rebuilds on a doubled table, as in
+    PLDS, instead of raising ``IndexError`` from the level table."""
+
+    @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
+    def test_clique_past_the_top_level_commits(self, strategy):
+        lds = LDS(n_hint=2, insertion_strategy=strategy)
+        assert lds._inv1_bound_int[-1] < 49  # the 50-clique's degree
+        clique = list(combinations(range(50), 2))
+        lds.update(Batch(insertions=clique))
+        assert lds.n_hint >= 100
+        assert lds.num_edges == len(clique)
+        assert lds.last_moved is None  # a rebuild re-levels everything
+        assert_no_violations(lds)
+        est = lds.coreness_estimates()
+        factor = lds.approximation_factor()
+        assert all(49 / factor <= est[v] <= 49 * factor for v in range(50))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import combinations
 
 import pytest
 
@@ -120,26 +121,50 @@ class TestBasicUpdates:
 
 
 class TestSingleLookup:
-    """Validation is a batch's only edge lookup (one ``has_edge`` per batch
-    edge), and buffered cascade marks merge into exactly the buckets
-    per-mark sorted inserts would build."""
+    """The batch check's membership step is a batch's only edge lookup
+    (one call per non-empty phase), and buffered cascade marks merge into
+    exactly the buckets per-mark sorted inserts would build."""
 
     @pytest.mark.parametrize("cls", [PLDS, LDS], ids=["plds", "lds"])
     def test_valid_batch_looks_each_edge_up_once(self, cls, monkeypatch):
+        lookups = []
         calls = []
+        lookup_edges = PLDS._lookup_edges
+        record = PLDS._record
         has_edge = PLDS.has_edge
 
-        def counting(self, u, v):
+        def counting_lookup(self, edges):
+            lookups.append(list(edges))
+            return lookup_edges(self, edges)
+
+        def counting_record(self, v):
+            calls.append(v)
+            return record(self, v)
+
+        def counting_has_edge(self, u, v):
             calls.append((u, v))
             return has_edge(self, u, v)
 
-        monkeypatch.setattr(PLDS, "has_edge", counting)
-        edges = erdos_renyi(60, 240, seed=5)
-        engine = cls(n_hint=64)
+        monkeypatch.setattr(PLDS, "_lookup_edges", counting_lookup)
+        monkeypatch.setattr(PLDS, "_record", counting_record)
+        monkeypatch.setattr(PLDS, "has_edge", counting_has_edge)
+        edges = erdos_renyi(60, 240, seed=5)  # canonical; the first 200
+        engine = cls(n_hint=64)               # touch all 60 vertices
         engine.update(Batch(insertions=edges[:200]))
-        engine.update(Batch(insertions=edges[200:], deletions=edges[:100]))
+        assert lookups == [edges[:200]]
+        # Every endpoint is stored: the check resolves all records, so
+        # linking (of reversed pairs too) and unlinking look nothing up.
+        calls.clear()
+        engine.update(
+            Batch(
+                insertions=[(v, u) for u, v in edges[200:]],
+                deletions=edges[:100],
+            )
+        )
+        assert lookups == [edges[:200], edges[200:], edges[:100]]
+        assert calls == []
         assert engine.num_edges == 140
-        assert calls == edges + edges[:100]
+        assert engine.check_invariants() == []
 
     @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
     def test_buckets_sorted_unique_after_bulk_load(self, strategy, monkeypatch):
@@ -360,6 +385,33 @@ class TestVertexUpdates:
         assert not approximation_violations(
             plds.coreness_estimates(), exact, plds.approximation_factor()
         )
+
+
+class TestMidBatchRebuild:
+    """A rise past the top level rebuilds mid-batch, which replaces every
+    record: the batch's remaining edges must be resolved against the
+    rebuilt records, not the pairs the check resolved before it."""
+
+    # (work, depth) of the two batches below, unchanged from before the
+    # check resolved record pairs.
+    PLDS_COST = {"levelwise": (2813402, 4794), "jump": (1652025, 12979)}
+
+    @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
+    @pytest.mark.parametrize("cls", [PLDS, LDS], ids=["plds", "lds"])
+    def test_deletion_after_overflow_uses_rebuilt_records(self, cls, strategy):
+        engine = cls(n_hint=8, insertion_strategy=strategy)
+        engine.update(Batch(insertions=[(100, 101), (101, 102)]))
+        clique = list(combinations(range(60), 2))
+        engine.update(Batch(insertions=clique, deletions=[(100, 101)]))
+        assert engine.n_hint > 8  # the clique overflowed the table
+        assert engine.num_edges == 1771
+        assert engine.check_invariants() == []
+        assert not engine.has_edge(100, 101) and engine.has_edge(101, 102)
+        assert [engine.degree(v) for v in (100, 101, 102)] == [0, 1, 1]
+        if cls is PLDS:
+            assert engine.level_histogram() == {0: 3, 540: 60}
+            tracker = engine.tracker
+            assert (tracker.work, tracker.depth) == self.PLDS_COST[strategy]
 
 
 class TestMetering:
