@@ -7,8 +7,9 @@ Dhulipala, Shun - SPAA 2022).
 Subpackages
 -----------
 ``repro.parallel``
-    Work-depth model simulation: metered parallel primitives, hash tables,
-    and a Brent-bound scheduler for simulated multicore running times.
+    Work-depth model simulation: the work/depth tracker the algorithms
+    charge, and a Brent-bound scheduler for simulated multicore running
+    times.
 ``repro.graphs``
     Dynamic graphs, synthetic dataset analogs, Ins/Del/Mix update streams.
 ``repro.core``

@@ -52,11 +52,14 @@ from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..graphs.streams import Batch, check_batch
 from ..parallel.engine import WorkDepthTracker
-from ..parallel.hashtable import LOG_STAR_DEPTH
 from ..parallel.primitives import log2_ceil
 from .query import QueryView
 
 __all__ = ["PLDS", "UpdateResult", "DirectedEdge"]
+
+#: Depth charged per batched hash-table mutation — stands in for O(log* n),
+#: which is <= 5 for any n < 2^65536.
+LOG_STAR_DEPTH = 5
 
 #: A directed edge (tail, head): oriented tail -> head.
 DirectedEdge = tuple[int, int]
@@ -101,9 +104,10 @@ class _LevelOverflow(IndexError):
     That needs a degree above the top level's Invariant-1 bound, at
     least ``upper_coeff·(1+δ)·n_hint``, so with the paper's coefficients
     only a batch that outgrew the sizing hint (and would rebuild anyway)
-    raises it.  :meth:`PLDS._rebalance` answers with a grown rebuild;
-    code that shares the level table but not that handler (the shard
-    kernels) still sees an ``IndexError``.
+    raises it.  Every engine answers with the same grown rebuild, on
+    ``max(2, 2·|V|, 2·n_hint)``: :meth:`PLDS._rebalance`,
+    ``LDS._rebalance`` and, for the shard kernels,
+    ``Coordinator._apply_batch``.
     """
 
 
@@ -554,6 +558,11 @@ class PLDS(QueryView):
 
         result.moved_vertices = self._rebalance(batch, ins_pairs, del_pairs)
         if track:
+            if self._orient is not orient:
+                # A mid-batch rebuild replaced H, and its replay oriented
+                # every live edge, this batch's deletions included.
+                for e in deleted:
+                    self._orient.pop(e, None)
             self._finish_orientation(inserted, result)
         self._maybe_rebuild()
         return result

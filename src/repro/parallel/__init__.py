@@ -1,42 +1,24 @@
 """Work-depth model simulation substrate.
 
-Provides the metered parallel primitives the paper assumes (Section 2):
-a :class:`WorkDepthTracker` that accounts work and depth of simulated
-parallel computations, batch-metered hash tables, classic primitives
-(reduce, filter, scan, sort, semisort), and a Brent-bound scheduler for
-simulating multiprocessor running times.
+Meters the parallel steps the paper assumes (Section 2): a
+:class:`WorkDepthTracker` that accounts work and depth of simulated
+parallel computations (``add`` for a step, ``parallel()`` /
+``flat_parfor`` for parallel composition), the :func:`log2_ceil` depth
+helper and the :func:`parallel_semisort` of Algorithm 6, and a
+Brent-bound scheduler for simulating multiprocessor running times.
+Batched hash-table steps and the other primitives are charged inline
+by the algorithms that use them (``docs/cost_model.md``).
 """
 
-from .engine import Cost, NullTracker, WorkDepthTracker, parfor, parmap
-from .hashtable import ParallelHashMap, ParallelHashSet
-from .primitives import (
-    log2_ceil,
-    parallel_count,
-    parallel_filter,
-    parallel_max,
-    parallel_prefix_sum,
-    parallel_reduce,
-    parallel_semisort,
-    parallel_sort,
-)
+from .engine import Cost, WorkDepthTracker
+from .primitives import log2_ceil, parallel_semisort
 from .scheduler import BrentScheduler, speedup_curve
 
 __all__ = [
     "Cost",
-    "NullTracker",
     "WorkDepthTracker",
-    "parfor",
-    "parmap",
-    "ParallelHashMap",
-    "ParallelHashSet",
     "log2_ceil",
-    "parallel_count",
-    "parallel_filter",
-    "parallel_max",
-    "parallel_prefix_sum",
-    "parallel_reduce",
     "parallel_semisort",
-    "parallel_sort",
     "BrentScheduler",
     "speedup_curve",
 ]

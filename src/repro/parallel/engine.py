@@ -12,8 +12,9 @@ and how long the critical path was.
 The central object is :class:`WorkDepthTracker`.  Algorithms thread a
 tracker through their calls and charge costs with :meth:`~WorkDepthTracker.add`.
 Parallel structure is expressed with :meth:`~WorkDepthTracker.parallel` /
-:func:`parfor`: within a parallel scope, the work of all branches is summed
-while only the *maximum* branch depth is added to the enclosing depth.
+:meth:`~WorkDepthTracker.flat_parfor`: within a parallel scope, the work of
+all branches is summed while only the *maximum* branch depth is added to
+the enclosing depth.
 
 This mirrors the composition rules of the work-depth model:
 
@@ -35,17 +36,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
-U = TypeVar("U")
 
 __all__ = [
     "WorkDepthTracker",
-    "NullTracker",
     "Cost",
-    "parfor",
-    "parmap",
     "set_fault_hook",
     "set_obs_hook",
 ]
@@ -90,9 +87,6 @@ class Cost:
     def __or__(self, other: "Cost") -> "Cost":
         """Parallel composition."""
         return Cost(self.work + other.work, max(self.depth, other.depth))
-
-    def scaled(self, k: int) -> "Cost":
-        return Cost(self.work * k, self.depth * k)
 
 
 class _Frame:
@@ -169,23 +163,6 @@ class WorkDepthTracker:
         frame.work += work
         frame.depth += depth
 
-    def add_cost(self, cost: Cost) -> None:
-        self.add(cost.work, cost.depth)
-
-    def charge_parfor(self, n: int, per_work: int = 1, per_depth: int = 1) -> None:
-        """Charge a uniform-cost parfor of ``n`` branches in O(1).
-
-        Exactly equivalent to a :meth:`parallel` scope with ``n`` branches
-        each charging ``(per_work, per_depth)`` — total work ``n * per_work``
-        (sum), total depth ``per_depth`` (max) — without opening ``n``
-        frames.  ``n <= 0`` charges nothing, like an empty scope.
-        """
-        if n <= 0:
-            return
-        frame = self._stack[-1]
-        frame.work += n * per_work
-        frame.depth += per_depth
-
     # -- structure ----------------------------------------------------
 
     @contextmanager
@@ -203,14 +180,17 @@ class WorkDepthTracker:
         frame.depth += scope.max_depth
 
     def flat_parfor(self, items: Iterable[T], body: Callable[[T], None]) -> None:
-        """Run ``body`` over ``items`` with parallel cost composition.
+        """Simulated ``parfor``: run ``body`` over ``items``.
 
-        Semantically identical to :func:`parfor` (sum of branch works,
-        max of branch depths, folded into the enclosing frame), but a
-        single scratch frame is reused for every branch instead of
-        pushing/popping one ``_Frame`` plus two context managers per
-        iteration — the dominant interpreter overhead of fine-grained
-        loops with hundreds of thousands of branches per batch.
+        All iterations execute sequentially (canonical order — the
+        paper's Lemma 5.9 shows an equivalent sequential order always
+        exists), but their costs compose in parallel: the sum of branch
+        works and the max of branch depths are folded into the enclosing
+        frame.  A single scratch frame is reused for every branch instead
+        of pushing/popping one ``_Frame`` plus two context managers per
+        iteration (a :meth:`parallel` scope) — the dominant interpreter
+        overhead of fine-grained loops with hundreds of thousands of
+        branches per batch.
         """
         if _FAULT_HOOK is not None:
             _FAULT_HOOK("engine.parfor")
@@ -261,95 +241,3 @@ class WorkDepthTracker:
         self._root.work = 0
         self._root.depth = 0
         del self._stack[1:]
-
-
-class _NullBranch:
-    """No-op branch context, shared by every :class:`NullTracker` scope."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-class _NullScope:
-    """Scope whose branches are free."""
-
-    __slots__ = ()
-    _branch = _NullBranch()
-
-    def branch(self) -> _NullBranch:
-        return self._branch
-
-
-class NullTracker(WorkDepthTracker):
-    """A tracker that charges nothing — for unmetered "serving" runs.
-
-    Deployments that only need coreness answers (not work/depth accounting)
-    pay the metering substrate's bookkeeping for nothing; passing
-    ``tracker=NullTracker()`` turns every charge site into a no-op while
-    keeping the full :class:`WorkDepthTracker` interface, so algorithm
-    code needs no branching.  ``work`` and ``depth`` read 0.
-    """
-
-    _null_scope = _NullScope()
-
-    def add(self, work: int = 1, depth: int = 1) -> None:
-        return None
-
-    def add_cost(self, cost: Cost) -> None:
-        return None
-
-    def charge_parfor(self, n: int, per_work: int = 1, per_depth: int = 1) -> None:
-        return None
-
-    @contextmanager
-    def parallel(self) -> Iterator[_NullScope]:  # type: ignore[override]
-        yield self._null_scope
-
-    def flat_parfor(self, items: Iterable[T], body: Callable[[T], None]) -> None:
-        if _FAULT_HOOK is not None:
-            _FAULT_HOOK("engine.parfor")
-        if _OBS_HOOK is not None:
-            _OBS_HOOK("engine.parfor")
-        for item in items:
-            body(item)
-
-
-def parfor(
-    tracker: WorkDepthTracker,
-    items: Iterable[T],
-    body: Callable[[T], None],
-) -> None:
-    """Simulated ``parfor``: run ``body`` over ``items``.
-
-    All iterations execute sequentially (canonical order — the paper's
-    Lemma 5.9 shows an equivalent sequential order always exists), but their
-    costs compose in parallel: total work is the sum over iterations, total
-    depth the maximum over iterations.
-    """
-    if _FAULT_HOOK is not None:
-        _FAULT_HOOK("engine.parfor")
-    if _OBS_HOOK is not None:
-        _OBS_HOOK("engine.parfor")
-    with tracker.parallel() as par:
-        for item in items:
-            with par.branch():
-                body(item)
-
-
-def parmap(
-    tracker: WorkDepthTracker,
-    items: Sequence[T],
-    fn: Callable[[T], U],
-) -> list[U]:
-    """Like :func:`parfor` but collects results, preserving input order."""
-    out: list[U] = []
-    with tracker.parallel() as par:
-        for item in items:
-            with par.branch():
-                out.append(fn(item))
-    return out

@@ -1,7 +1,7 @@
 """Metered parallel primitives.
 
-Implements the primitives the paper assumes in Section 2 ("Preliminaries"),
-with the costs the paper cites charged to a :class:`~repro.parallel.engine.WorkDepthTracker`:
+The paper assumes these Section-2 ("Preliminaries") primitives, with
+the costs it cites:
 
 ===============  =================  ==================
 primitive        work               depth
@@ -13,29 +13,23 @@ comparison sort  O(n log n)         O(log n)
 semisort         O(n) expected      O(log n) w.h.p.
 ===============  =================  ==================
 
-The values returned are computed sequentially (and deterministically) but
-are exactly what the parallel primitive would produce.
+Only the semisort has a function of its own here
+(:func:`parallel_semisort`, for Algorithm 6).  The algorithms run the
+others as plain Python over their own containers and charge them at
+the call site, in the form ``tracker.add(n, log2_ceil(n) + 1)``;
+:func:`log2_ceil` is the shared depth helper.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Hashable, Sequence, TypeVar
 
 from .engine import WorkDepthTracker
 
 T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
 
-__all__ = [
-    "log2_ceil",
-    "parallel_reduce",
-    "parallel_filter",
-    "parallel_prefix_sum",
-    "parallel_sort",
-    "parallel_semisort",
-    "parallel_max",
-    "parallel_count",
-]
+__all__ = ["log2_ceil", "parallel_semisort"]
 
 
 def log2_ceil(n: int) -> int:
@@ -43,80 +37,6 @@ def log2_ceil(n: int) -> int:
     if n <= 1:
         return 0
     return (n - 1).bit_length()
-
-
-def _charge_linear(tracker: WorkDepthTracker, n: int) -> None:
-    tracker.add(work=max(n, 1), depth=log2_ceil(n) + 1)
-
-
-def parallel_reduce(
-    tracker: WorkDepthTracker,
-    seq: Sequence[T],
-    op: Callable[[T, T], T],
-    identity: T,
-) -> T:
-    """Tree reduction: O(n) work, O(log n) depth."""
-    _charge_linear(tracker, len(seq))
-    acc = identity
-    for x in seq:
-        acc = op(acc, x)
-    return acc
-
-
-def parallel_max(tracker: WorkDepthTracker, seq: Sequence[int], default: int = 0) -> int:
-    _charge_linear(tracker, len(seq))
-    return max(seq, default=default)
-
-
-def parallel_count(
-    tracker: WorkDepthTracker, seq: Iterable[T], pred: Callable[[T], bool]
-) -> int:
-    # Only one pass is needed, so sized inputs (lists, sets, dict views)
-    # are consumed in place; only true one-shot iterators get materialized.
-    if not hasattr(seq, "__len__"):
-        seq = list(seq)
-    _charge_linear(tracker, len(seq))  # type: ignore[arg-type]
-    return sum(1 for x in seq if pred(x))
-
-
-def parallel_filter(
-    tracker: WorkDepthTracker, seq: Sequence[T], pred: Callable[[T], bool]
-) -> list[T]:
-    """Stable filter (pack): O(n) work, O(log n) depth.
-
-    Preserves the relative order of kept elements, as the paper requires.
-    """
-    _charge_linear(tracker, len(seq))
-    return [x for x in seq if pred(x)]
-
-
-def parallel_prefix_sum(
-    tracker: WorkDepthTracker,
-    seq: Sequence[int],
-    identity: int = 0,
-) -> list[int]:
-    """Exclusive prefix sum: ``out[i] = identity + sum(seq[:i])``.
-
-    O(n) work, O(log n) depth (Blelloch scan).
-    """
-    _charge_linear(tracker, len(seq))
-    out: list[int] = []
-    acc = identity
-    for x in seq:
-        out.append(acc)
-        acc += x
-    return out
-
-
-def parallel_sort(
-    tracker: WorkDepthTracker,
-    seq: Sequence[T],
-    key: Callable[[T], object] | None = None,
-) -> list[T]:
-    """Comparison sort: O(n log n) work, O(log n) depth (e.g. sample sort)."""
-    n = len(seq)
-    tracker.add(work=max(1, n * max(1, log2_ceil(n))), depth=log2_ceil(n) + 1)
-    return sorted(seq, key=key)  # type: ignore[type-var,arg-type]
 
 
 def parallel_semisort(
@@ -129,7 +49,8 @@ def parallel_semisort(
     their input order.  Used by the static approximate k-core algorithm
     (Algorithm 6) to aggregate peeled-edge counts per neighbor.
     """
-    _charge_linear(tracker, len(pairs))
+    n = len(pairs)
+    tracker.add(work=max(n, 1), depth=log2_ceil(n) + 1)
     groups: dict[K, list[T]] = {}
     for k, v in pairs:
         groups.setdefault(k, []).append(v)

@@ -12,7 +12,8 @@ of cross-shard state:
   vertex count and re-sizes every kernel to the same global ``n_hint``,
   because the per-level threshold tables are a function of ``n_hint``
   and must match the monolithic PLDS for bit-identical rise/desaturate
-  decisions.
+  decisions.  A rise past the top level rebuilds every kernel on a
+  doubled table mid-batch, the same growth rule as the PLDS.
 
 It validates every batch once at the boundary, scatters the routed
 edges to owner shards with **shard-level fault isolation**, drives the
@@ -76,7 +77,7 @@ from itertools import chain, starmap
 from typing import Iterable, Iterator, Mapping
 
 from .. import faults as _faults
-from ..core.plds import UpdateResult, _VertexRecord
+from ..core.plds import UpdateResult, _LevelOverflow, _VertexRecord
 from ..core.query import EpochSnapshot, QueryView
 from ..faults import InjectedFault
 from ..graphs.streams import Batch, check_batch
@@ -240,7 +241,13 @@ class Coordinator(QueryView):
         self.last_shard_depths = [0] * self.num_shards
         if ins:
             self._scatter(ins, insert=True)
-            self.last_rounds += self.cascade_rounds("rise", moved)
+            try:
+                self.last_rounds += self.cascade_rounds("rise", moved)
+            except _LevelOverflow:
+                # As in PLDS: re-level every shard on a doubled table.
+                # The kernels hold every inserted edge, which is all a
+                # rebuild reads; the deletions route to the new kernels.
+                self._maybe_rebuild(2 * self.n_hint)
         if dels:
             self._scatter(dels, insert=False)
             self.last_rounds += self.cascade_rounds("desaturate", moved)
@@ -487,7 +494,12 @@ class Coordinator(QueryView):
                     if tracer is not None
                     else None
                 )
-                moves = k.settle(rise)
+                try:
+                    moves = k.settle(rise)
+                except _LevelOverflow:
+                    if round_span is not None:
+                        tracer.end(round_span, error="_LevelOverflow")
+                    raise
                 if span is not None:
                     tracer.end(span)
                 delta = k.tracker.delta(since)
@@ -563,15 +575,16 @@ class Coordinator(QueryView):
 
     # -- rebuild (Section 5.9, globally coordinated) --------------------
 
-    def _maybe_rebuild(self) -> None:
-        if self.num_vertices <= self.n_hint:
+    def _maybe_rebuild(self, min_hint: int = 0) -> None:
+        # A non-zero ``min_hint`` forces a rebuild to at least that hint.
+        if not min_hint and self.num_vertices <= self.n_hint:
             return
         mreg = _metrics.ACTIVE
         if mreg is not None:
             mreg.inc("shard.rebuilds")
         tracer = _tracing.ACTIVE
         if tracer is None:
-            self._rebuild()
+            self._rebuild(min_hint)
             return
         with tracer.span(
             "shard.rebuild",
@@ -579,10 +592,11 @@ class Coordinator(QueryView):
             vertices=self.num_vertices,
             edges=self.num_edges,
         ):
-            self._rebuild()
+            self._rebuild(min_hint)
 
-    def _rebuild(self) -> None:
-        """Re-size every kernel to the global ``2 * n`` hint and replay.
+    def _rebuild(self, min_hint: int = 0) -> None:
+        """Re-size every kernel to the global ``max(2, 2·n, min_hint)``
+        hint (the rule of :meth:`PLDS._rebuild`) and replay.
 
         Charges the same gather cost as the monolithic rebuild, then
         replays the edge set through the normal scatter + rise-round
@@ -592,7 +606,7 @@ class Coordinator(QueryView):
         """
         edges = sorted(self.edges())
         verts = sorted(self.vertices())
-        new_hint = max(2, 2 * len(verts))
+        new_hint = max(2, 2 * len(verts), min_hint)
         self.tracker.add(
             work=max(1, len(edges) + len(verts)),
             depth=log2_ceil(max(2, len(edges))) + 1,

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from ..core.plds import PLDS, _VertexRecord
+from ..core.plds import PLDS, _LevelOverflow, _VertexRecord
 from ..parallel.engine import WorkDepthTracker
 
 __all__ = ["ShardKernel"]
@@ -294,6 +294,12 @@ class ShardKernel(PLDS):
         # move recording.  Aggregate charging is identical: the sum of
         # |U[v]| over movers as work, one structure-mutation depth.
         target = level + 1
+        if target == self.num_levels:
+            if any(
+                rec.level == level and len(rec.up) > bound for rec in candidates
+            ):
+                raise _LevelOverflow  # a mover would leave the table
+            return
         bound_t = bounds[target]
         crossing = bound_t + 1
         total_work = 0

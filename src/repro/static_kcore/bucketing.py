@@ -39,9 +39,6 @@ class ParallelBucketing:
     def __len__(self) -> int:
         return len(self._bucket_of)
 
-    def bucket_of(self, v: int) -> int | None:
-        return self._bucket_of.get(v)
-
     def update_batch(self, assignments: Iterable[tuple[int, int]]) -> None:
         """Move each ``(vertex, bucket)`` to its new bucket (batched)."""
         assignments = list(assignments)
@@ -65,18 +62,6 @@ class ParallelBucketing:
                 heapq.heappush(self._heap, b)
             else:
                 group.add(v)
-
-    def remove_batch(self, vertices: Iterable[int]) -> None:
-        vertices = list(vertices)
-        if not vertices:
-            return
-        self._tracker.add(
-            work=len(vertices), depth=log2_ceil(len(vertices)) + 1
-        )
-        for v in vertices:
-            b = self._bucket_of.pop(v, None)
-            if b is not None:
-                self._buckets[b].discard(v)
 
     def pop_lowest(self) -> tuple[list[int], int] | None:
         """Extract all vertices of the lowest non-empty bucket.

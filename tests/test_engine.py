@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel.engine import Cost, WorkDepthTracker, parfor, parmap
+from repro.parallel.engine import Cost
 
 
 class TestCost:
@@ -20,9 +20,6 @@ class TestCost:
     def test_parallel_composition_is_commutative(self):
         a, b = Cost(3, 9), Cost(4, 1)
         assert (a | b) == (b | a)
-
-    def test_scaled(self):
-        assert Cost(2, 3).scaled(4) == Cost(8, 12)
 
     def test_immutability(self):
         c = Cost(1, 1)
@@ -43,10 +40,6 @@ class TestTrackerSequential:
     def test_add_defaults_to_unit(self, tracker):
         tracker.add()
         assert (tracker.work, tracker.depth) == (1, 1)
-
-    def test_add_cost(self, tracker):
-        tracker.add_cost(Cost(5, 6))
-        assert tracker.cost == Cost(5, 6)
 
     def test_reset(self, tracker):
         tracker.add(work=10, depth=10)
@@ -131,32 +124,39 @@ class TestBranchExceptionSafety:
         assert tracker.work >= 1
 
 
-class TestParforParmap:
-    def test_parfor_costs(self, tracker):
+class TestFlatParfor:
+    def test_costs(self, tracker):
         depths = [1, 9, 3]
 
         def body(d):
             tracker.add(work=d, depth=d)
 
-        parfor(tracker, depths, body)
+        tracker.flat_parfor(depths, body)
         assert tracker.work == 13
         assert tracker.depth == 9
 
-    def test_parfor_executes_all(self, tracker):
+    def test_executes_all_in_order(self, tracker):
         seen = []
-        parfor(tracker, range(5), seen.append)
+        tracker.flat_parfor(range(5), seen.append)
         assert seen == [0, 1, 2, 3, 4]
 
-    def test_parmap_preserves_order(self, tracker):
-        out = parmap(tracker, [3, 1, 2], lambda x: x * 10)
-        assert out == [30, 10, 20]
-
-    def test_parmap_empty(self, tracker):
-        assert parmap(tracker, [], lambda x: x) == []
-
-    def test_parfor_empty_adds_nothing(self, tracker):
-        parfor(tracker, [], lambda x: tracker.add(work=99, depth=99))
+    def test_empty_adds_nothing(self, tracker):
+        tracker.flat_parfor([], lambda x: tracker.add(work=99, depth=99))
         assert tracker.cost == Cost(0, 0)
+
+    def test_scratch_frame_popped_when_body_raises(self, tracker):
+        def body(x):
+            tracker.add(work=5, depth=5)
+            if x == 1:
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            tracker.flat_parfor(range(3), body)
+        # The scratch frame is gone: the next charge lands on the root
+        # frame, and nothing of the aborted loop was folded into it.
+        assert len(tracker._stack) == 1
+        tracker.add(work=1, depth=1)
+        assert tracker.cost == Cost(1, 1)
 
 
 class TestSnapshotDeltaScoping:
@@ -207,34 +207,3 @@ class TestSnapshotDeltaScoping:
         for c in deltas:
             total = total + c
         assert total == tracker.cost == Cost(30, 12)
-
-
-class TestNullTracker:
-    def test_charges_nothing(self):
-        from repro.parallel.engine import NullTracker
-
-        t = NullTracker()
-        t.add(work=5, depth=5)
-        t.add_cost(Cost(3, 3))
-        t.charge_parfor(10, per_work=2, per_depth=2)
-        with t.parallel() as par:
-            with par.branch():
-                t.add(work=9, depth=9)
-        assert t.cost == Cost(0, 0)
-
-    def test_snapshot_delta_stay_zero(self):
-        from repro.parallel.engine import NullTracker
-
-        t = NullTracker()
-        snap = t.snapshot()
-        t.add(work=5, depth=5)
-        t.flat_parfor(range(4), lambda i: t.add())
-        assert snap == Cost(0, 0)
-        assert t.delta(snap) == Cost(0, 0)
-
-    def test_flat_parfor_still_executes_body(self):
-        from repro.parallel.engine import NullTracker
-
-        seen = []
-        NullTracker().flat_parfor(range(3), seen.append)
-        assert seen == [0, 1, 2]

@@ -245,14 +245,12 @@ class TestMetricsRegistry:
         assert hist["count"] == 1 and hist["buckets"]["5"] == 1
 
     def test_collecting_installs_engine_hook(self, tracker):
-        from repro.parallel.engine import parfor
-
         with collecting() as reg:
-            parfor(tracker, range(3), lambda i: tracker.add())
+            tracker.flat_parfor(range(3), lambda i: tracker.add())
             tracker.flat_parfor(range(2), lambda i: tracker.add())
         assert reg.counter_value("engine.parfor.calls") == 2
         # Hook must be detached afterwards: no further counting.
-        parfor(tracker, range(3), lambda i: tracker.add())
+        tracker.flat_parfor(range(3), lambda i: tracker.add())
         assert reg.counter_value("engine.parfor.calls") == 2
 
     def test_record_level_structure_gauges_plds(self):

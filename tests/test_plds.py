@@ -413,6 +413,32 @@ class TestMidBatchRebuild:
             tracker = engine.tracker
             assert (tracker.work, tracker.depth) == self.PLDS_COST[strategy]
 
+    @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
+    @pytest.mark.parametrize("cls", [PLDS, LDS], ids=["plds", "lds"])
+    def test_orientation_drops_deleted_edge_after_overflow(self, cls, strategy):
+        # The rebuild's replay orients every live edge, the batch's
+        # deletions included; H must still end equal to the edge set.
+        engine = cls(n_hint=8, insertion_strategy=strategy, track_orientation=True)
+        plain = cls(n_hint=8, insertion_strategy=strategy)
+        clique = list(combinations(range(60), 2))
+        batches = [
+            Batch(insertions=[(100, 101), (101, 102)]),
+            Batch(insertions=clique, deletions=[(100, 101)]),
+        ]
+        plain.update(batches[0])
+        plain.update(batches[1])
+        engine.update(batches[0])
+        before = engine._orient[(100, 101)]
+        result = engine.update(batches[1])
+        assert engine.n_hint > 8  # the clique overflowed the table
+        assert result.oriented_deletions == [before]
+        assert set(engine._orient) == set(engine.edges())
+        assert engine._orient == {
+            e: engine.orientation_of(*e) for e in engine.edges()
+        }
+        # 24 bytes per key of H, and no key for the deleted edge.
+        assert engine.space_bytes() == plain.space_bytes() + 24 * 1771
+
 
 class TestMetering:
     def test_work_scales_with_batch(self):

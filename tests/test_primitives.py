@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-import operator
-
 import pytest
 
-from repro.parallel.engine import WorkDepthTracker
-from repro.parallel.primitives import (
-    log2_ceil,
-    parallel_count,
-    parallel_filter,
-    parallel_max,
-    parallel_prefix_sum,
-    parallel_reduce,
-    parallel_semisort,
-    parallel_sort,
-)
+from repro.parallel.primitives import log2_ceil, parallel_semisort
 
 
 class TestLog2Ceil:
@@ -26,68 +14,6 @@ class TestLog2Ceil:
     )
     def test_values(self, n, expected):
         assert log2_ceil(n) == expected
-
-
-class TestReduce:
-    def test_sum(self, tracker):
-        assert parallel_reduce(tracker, [1, 2, 3, 4], operator.add, 0) == 10
-
-    def test_identity_on_empty(self, tracker):
-        assert parallel_reduce(tracker, [], operator.add, 42) == 42
-
-    def test_charges_linear_work_log_depth(self, tracker):
-        parallel_reduce(tracker, list(range(64)), operator.add, 0)
-        assert tracker.work == 64
-        assert tracker.depth == log2_ceil(64) + 1
-
-    def test_max_reduce(self, tracker):
-        assert parallel_max(tracker, [5, 2, 9, 1]) == 9
-
-    def test_max_default(self, tracker):
-        assert parallel_max(tracker, [], default=-1) == -1
-
-    def test_count(self, tracker):
-        assert parallel_count(tracker, range(10), lambda x: x % 2 == 0) == 5
-
-
-class TestFilter:
-    def test_keeps_order(self, tracker):
-        out = parallel_filter(tracker, [5, 1, 4, 2, 3], lambda x: x > 2)
-        assert out == [5, 4, 3]
-
-    def test_empty(self, tracker):
-        assert parallel_filter(tracker, [], lambda x: True) == []
-
-    def test_all_filtered(self, tracker):
-        assert parallel_filter(tracker, [1, 2], lambda x: False) == []
-
-
-class TestPrefixSum:
-    def test_exclusive_semantics(self, tracker):
-        assert parallel_prefix_sum(tracker, [3, 1, 4, 1]) == [0, 3, 4, 8]
-
-    def test_identity_offset(self, tracker):
-        assert parallel_prefix_sum(tracker, [1, 1], identity=10) == [10, 11]
-
-    def test_empty(self, tracker):
-        assert parallel_prefix_sum(tracker, []) == []
-
-
-class TestSort:
-    def test_sorts(self, tracker):
-        assert parallel_sort(tracker, [3, 1, 2]) == [1, 2, 3]
-
-    def test_key(self, tracker):
-        assert parallel_sort(tracker, ["bb", "a"], key=len) == ["a", "bb"]
-
-    def test_charges_nlogn_work(self, tracker):
-        parallel_sort(tracker, list(range(16)))
-        assert tracker.work == 16 * 4
-
-    def test_stability(self, tracker):
-        pairs = [(1, "a"), (0, "b"), (1, "c")]
-        out = parallel_sort(tracker, pairs, key=lambda p: p[0])
-        assert out == [(0, "b"), (1, "a"), (1, "c")]
 
 
 class TestSemisort:

@@ -26,12 +26,7 @@ from repro.framework import (
 from repro.graphs.dynamic_graph import canonical_edge
 from repro.graphs.streams import Batch
 from repro.parallel.engine import WorkDepthTracker
-from repro.parallel.primitives import (
-    parallel_filter,
-    parallel_prefix_sum,
-    parallel_semisort,
-    parallel_sort,
-)
+from repro.parallel.primitives import parallel_semisort
 from repro.shard import Coordinator
 from repro.static_kcore.approx import approx_coreness_static
 from repro.static_kcore.exact import ParallelExactKCore, exact_coreness
@@ -381,27 +376,6 @@ class TestStaticProperties:
 
 
 class TestPrimitiveProperties:
-    @given(st.lists(st.integers(-100, 100)))
-    def test_prefix_sum_matches_reference(self, xs):
-        t = WorkDepthTracker()
-        out = parallel_prefix_sum(t, xs)
-        acc, ref = 0, []
-        for x in xs:
-            ref.append(acc)
-            acc += x
-        assert out == ref
-
-    @given(st.lists(st.integers(-100, 100)))
-    def test_sort_matches_sorted(self, xs):
-        assert parallel_sort(WorkDepthTracker(), xs) == sorted(xs)
-
-    @given(st.lists(st.integers(-100, 100)))
-    def test_filter_matches_comprehension(self, xs):
-        t = WorkDepthTracker()
-        assert parallel_filter(t, xs, lambda v: v % 3 == 0) == [
-            v for v in xs if v % 3 == 0
-        ]
-
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers())))
     def test_semisort_partitions_input(self, pairs):
         t = WorkDepthTracker()

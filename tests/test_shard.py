@@ -422,6 +422,58 @@ class TestSpanReconciliation:
 
 
 # ----------------------------------------------------------------------
+# Level-table growth
+# ----------------------------------------------------------------------
+
+
+class TestLevelTableGrowth:
+    """A rise past the top level rebuilds every kernel on a doubled
+    table mid-batch, as the PLDS does, and the deletions then run on the
+    rebuilt kernels."""
+
+    @staticmethod
+    def _batches() -> list[Batch]:
+        clique = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+        return [
+            Batch(insertions=[(100, 101), (101, 102)]),
+            Batch(insertions=clique, deletions=[(100, 101)]),
+        ]
+
+    @pytest.mark.parametrize("strategy", ["levelwise", "jump"])
+    def test_overflow_rebuilds_like_plds(self, strategy: str) -> None:
+        coord = Coordinator(8, shards=2, insertion_strategy=strategy)
+        mono = PLDS(n_hint=8, insertion_strategy=strategy)
+        tracer = Tracer()
+        for b in self._batches():
+            with tracing(tracer):
+                coord.update(b)
+            mono.update(b)
+        assert coord.n_hint == mono.n_hint > 8
+        assert coord.num_edges == 1771
+        assert not coord.has_edge(100, 101) and coord.has_edge(101, 102)
+        assert coord.check_invariants() == []
+        assert coord.coreness_estimates() == mono.coreness_estimates()
+        assert coord.last_moved is None
+        # The aborted round's spans are closed, so the rebuild hangs
+        # directly off the batch's span.
+        batch_span = tracer.roots[-1]
+        assert batch_span.name == "coordinator.update"
+        assert "shard.rebuild" in [c.name for c in batch_span.children]
+
+    def test_service_commits_the_overflowing_batch(self) -> None:
+        from repro.service import CoreService
+
+        svc = CoreService("plds-sharded", n_hint=8, shards=2)
+        ref = CoreService("plds", n_hint=8)
+        for b in self._batches():
+            svc.apply_batch(b)
+            ref.apply_batch(b)
+        assert all(t.attempts == 1 and not t.rolled_back for t in svc.telemetry)
+        assert svc.coreness_map() == ref.coreness_map()
+        assert svc.audit() == []
+
+
+# ----------------------------------------------------------------------
 # Snapshots
 # ----------------------------------------------------------------------
 

@@ -44,15 +44,9 @@ class TestBucketing:
     def test_update_moves_vertex(self, tracker):
         b = ParallelBucketing(tracker, [(1, 5)])
         b.update_batch([(1, 2)])
-        assert b.bucket_of(1) == 2
         vs, bkt = b.pop_lowest()
         assert (vs, bkt) == ([1], 2)
-
-    def test_remove_batch(self, tracker):
-        b = ParallelBucketing(tracker, [(1, 1), (2, 1)])
-        b.remove_batch([1])
-        vs, _ = b.pop_lowest()
-        assert vs == [2]
+        assert b.pop_lowest() is None
 
     def test_negative_bucket_rejected(self, tracker):
         b = ParallelBucketing(tracker)
