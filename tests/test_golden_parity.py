@@ -23,7 +23,9 @@ entry still matches the seed exactly.
 four shards, registry defaults) pins the sharded engine's metered
 totals on the same stream.  Its coreness equals ``plds-levelwise``; its
 work and depth differ because the shard rounds and ghost exchange are
-charged too.
+charged too.  ``plds-sharded-jump`` pins the same coordinator with the
+Section-6.1 jump strategy, whose shard settles take the filter-and-jump
+level step.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ def _scenarios() -> dict[str, object]:
         "plds-rebuild": lambda: PLDS(n_hint=32),
         "lds": lambda: LDS(n_hint=_N_HINT),
         "plds-sharded": lambda: Coordinator(_N_HINT, shards=4),
+        "plds-sharded-jump": lambda: Coordinator(
+            _N_HINT, shards=4, insertion_strategy="jump"
+        ),
     }
 
 
