@@ -93,18 +93,13 @@ class LDS(PLDS):
                 if mreg is not None:
                     mreg.inc("lds.cascade_moves", phase="insert")
                 before = tracker.work
-                marked = self._move_up(rec)
+                marked = self._move_up_to(rec, rec.level + 1)
                 # sequential: the move contributes its work to the depth too
                 tracker.add(work=0, depth=tracker.work - before)
                 moved.add(v)
-                # _move_up appends v's own record (last) when it still
-                # violates; this while loop already re-lifts v, so drop
-                # it to keep the queue contents (and hence cascade order)
-                # unchanged.  The queue holds ids, not records: set-pop
-                # order on small ints is reproducible across runs, which
-                # keeps the metered cascade deterministic.
-                if marked and marked[-1] is rec:
-                    marked.pop()
+                # The queue holds ids, not records: set-pop order on small
+                # ints is reproducible across runs, which keeps the
+                # metered cascade deterministic.
                 queue.update(sorted(m.id for m in marked))
 
     def _fix_deletion_cascade(self, seeds: set[int], moved: set[int]) -> None:

@@ -44,7 +44,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .. import faults as _faults
 from ..graphs.dynamic_graph import canonical_edge
@@ -92,6 +93,9 @@ def _linked(ru: "_VertexRecord", rv: "_VertexRecord") -> bool:
     if rv.level >= ru.level:
         return rv in ru.up
     return rv in ru.down.get(rv.level, ())
+
+
+_record_id = attrgetter("id")
 
 
 def _is_sorted_unique(items: list[int]) -> bool:
@@ -161,10 +165,9 @@ class _VertexRecord:
     ``ghost`` marks a read-mostly replica of a vertex owned by another
     shard (:mod:`repro.shard`): the record mirrors the owner's level and
     the adjacency restricted to the holding shard's local vertices.  The
-    monolithic PLDS never sets it; cascade primitives treat ghost and
-    local records identically (the level-message boundary lives in the
-    shard kernel, which skips marking ghosts and emits move events
-    instead).
+    monolithic PLDS never sets it; the move primitives treat ghost and
+    local records identically, and the level steps never mark a ghost
+    (its owner marks it off the shard's move event).
     """
 
     __slots__ = ("id", "level", "up", "down", "deg", "ghost")
@@ -296,6 +299,14 @@ class PLDS(QueryView):
         self._orient: dict[tuple[int, int], DirectedEdge] = {}
         #: edges whose endpoints' relative order may have changed this batch.
         self._touched: set[tuple[int, int]] = set()
+        #: Algorithm 3's state: vertex -> stored desire level, and level
+        #: -> sorted-unique ids pending there.  A completed batch leaves
+        #: both empty.
+        self._desire: dict[int, int] = {}
+        self._pending: dict[int, list[int]] = {}
+        #: cascade marks buffered while a parfor runs; every level step
+        #: drains them into its buckets (see :func:`_merge_marks`).
+        self._marks: defaultdict[int, list[int]] = defaultdict(list)
 
         # Per-mutation depth charge of the selected structure variant
         # (Section 5.8): hash tables O(log* n); dynamic arrays pay an
@@ -651,7 +662,7 @@ class PLDS(QueryView):
         # sorted-unique id lists (see :func:`_merge_marks`), so each
         # round's movers come out in canonical order for free.
         dirty: dict[int, list[int]] = {}
-        marks: defaultdict[int, list[int]] = defaultdict(list)
+        marks = self._marks
         tracker.add(work=2 * len(insertions), depth=self._mut_depth)
         record = self._record
         link = self._link_records
@@ -716,27 +727,10 @@ class PLDS(QueryView):
 
     def _rise(self, dirty: dict[int, list[int]], moved: set[int]) -> None:
         """Algorithm 2's level loop over the linked batch's ``dirty``
-        buckets (level -> sorted-unique ids of marked vertices)."""
+        buckets (level -> sorted-unique ids of marked vertices): each
+        level's fault hit, span and metric samples around one
+        :meth:`_rise_level` step."""
         tracker = self.tracker
-        vertices = self._vertices
-        marks: defaultdict[int, list[int]] = defaultdict(list)
-        bounds = self._inv1_bound_int
-        top = self.num_levels - 1
-        jump = self.insertion_strategy == "jump"
-
-        def rise(v: int) -> None:
-            # Jump strategy only; the levelwise path is inlined below.
-            rec = vertices[v]
-            newly_marked = self._move_up_to(rec, self._up_desire_level(rec))
-            moved.add(v)
-            if len(rec.up) > bounds[rec.level]:
-                newly_marked.append(rec)
-            for wrec in newly_marked:
-                marks[wrec.level].append(wrec.id)
-
-        track = self.track_orientation
-        touched = self._touched
-        mut_depth = self._mut_depth
         fault_plan = _faults.ACTIVE
         tracer = _tracing.ACTIVE
         mreg = _metrics.ACTIVE
@@ -747,14 +741,7 @@ class PLDS(QueryView):
         while dirty:
             if fault_plan is not None:
                 fault_plan.hit("plds.rise")
-            level = min(dirty)
-            candidates = dirty.pop(level)
-            if level == top and not jump and any(
-                len(rec.up) > bounds[top]
-                for v in candidates
-                if (rec := vertices[v]).level == top
-            ):
-                raise _LevelOverflow  # a mover would leave the table
+            level, candidates = self._pop_rise_level(dirty)
             span = (
                 tracer.begin(
                     "plds.rise", tracker, level=level, queue=len(candidates)
@@ -766,174 +753,193 @@ class PLDS(QueryView):
                 mreg.inc("plds.rise_levels")
                 mreg.observe("plds.cascade_queue", len(candidates), phase="rise")
             tracker.add(work=1, depth=1)  # the level-loop iteration itself
-            bound = bounds[level]
-            if jump:
-                movers = [
-                    v
-                    for v in candidates
-                    if (rec := vertices[v]).level == level
-                    and len(rec.up) > bound
-                ]
-                if not movers:
-                    if span is not None:
-                        tracer.end(span)
-                    continue
-                # The bucket is already sorted-unique, so the filtered
-                # mover list is in canonical order without a re-sort.
-                if __debug__:
-                    assert _is_sorted_unique(movers)
-                try:
-                    tracker.flat_parfor(movers, rise)
-                except _LevelOverflow:
-                    if span is not None:
-                        tracer.end(span)
-                    raise
-                _merge_marks(dirty, marks)
-                if span is not None:
-                    span.attrs["movers"] = len(movers)
-                    tracer.end(span)
-                continue
-            # Levelwise fast path: :meth:`_move_up` inlined with aggregate
-            # charging.  Each rise would charge (|U[v]| or 1, mut_depth)
-            # into its own flat_parfor branch; the fold into the enclosing
-            # frame is (sum of the works, mut_depth), charged once below.
-            # All movers rise exactly one level, and every vertex they
-            # newly mark sits exactly at ``level + 1``, so the dirty
-            # bucket is updated in bulk too.
-            target = level + 1
-            bound_t = bounds[target]
-            # A neighbor that already violated Invariant 1 at ``target``
-            # before this level iteration is already in some dirty bucket
-            # (edge inserts mark both endpoints; every rise re-marks the
-            # riser while it still violates), so a riser only needs to
-            # mark w on the exact bound crossing — later redundant marks
-            # would be deduplicated by the dirty set anyway.
-            crossing = bound_t + 1
-            total_work = 0
-            marked_next: list[int] = []
-            marked_append = marked_next.append
-            moved_add = moved.add
-            # Movers are visited in ascending-id bucket order.  Any order
-            # is parity-safe: a mover's U-set cardinality is unchanged
-            # while its own level is being processed (same-level risers
-            # re-add themselves to exactly the sets they left), so each
-            # captured |U[v]| — and hence the aggregate work charge — is
-            # order-invariant, and each target neighbor is marked exactly
-            # once (bound-crossing add, or its own move) in every order.
-            if track:
-                for v in candidates:
-                    rec = vertices[v]
-                    if rec.level != level:
-                        continue
-                    up = rec.up
-                    if len(up) <= bound:
-                        continue
-                    moved_add(v)
-                    total_work += len(up)
-                    stay = None
-                    for wrec in up:
-                        lw = wrec.level
-                        if lw == level:
-                            # w stays below v; v remains in U[w].
-                            if stay is None:
-                                stay = [wrec]
-                            else:
-                                stay.append(wrec)
-                            w = wrec.id
-                            touched.add((v, w) if v <= w else (w, v))
-                        else:
-                            wdown = wrec.down
-                            bucket = wdown[level]
-                            bucket.discard(rec)
-                            if not bucket:
-                                del wdown[level]
-                            if lw == target:
-                                wup = wrec.up
-                                wup.add(rec)
-                                if len(wup) == crossing:
-                                    marked_append(wrec.id)
-                                w = wrec.id
-                                touched.add((v, w) if v <= w else (w, v))
-                            else:  # lw > target: w's L-structure shifts.
-                                slot = wdown.get(target)
-                                if slot is None:
-                                    wdown[target] = {rec}
-                                else:
-                                    slot.add(rec)
-                    if stay is not None:
-                        up.difference_update(stay)
-                        slot = rec.down.get(level)
-                        if slot is None:
-                            rec.down[level] = set(stay)
-                        else:
-                            slot.update(stay)
-                    rec.level = target
-                    if len(up) > bound_t:
-                        marked_append(v)
-            else:
-                # Same loop, minus orientation bookkeeping (the default).
-                for v in candidates:
-                    rec = vertices[v]
-                    if rec.level != level:
-                        continue
-                    up = rec.up
-                    if len(up) <= bound:
-                        continue
-                    moved_add(v)
-                    total_work += len(up)
-                    stay = None
-                    for wrec in up:
-                        lw = wrec.level
-                        if lw == level:
-                            # w stays below v; v remains in U[w].
-                            if stay is None:
-                                stay = [wrec]
-                            else:
-                                stay.append(wrec)
-                        else:
-                            wdown = wrec.down
-                            bucket = wdown[level]
-                            bucket.discard(rec)
-                            if not bucket:
-                                del wdown[level]
-                            if lw == target:
-                                wup = wrec.up
-                                wup.add(rec)
-                                if len(wup) == crossing:
-                                    marked_append(wrec.id)
-                            else:  # lw > target: w's L-structure shifts.
-                                slot = wdown.get(target)
-                                if slot is None:
-                                    wdown[target] = {rec}
-                                else:
-                                    slot.add(rec)
-                    if stay is not None:
-                        up.difference_update(stay)
-                        slot = rec.down.get(level)
-                        if slot is None:
-                            rec.down[level] = set(stay)
-                        else:
-                            slot.update(stay)
-                    rec.level = target
-                    if len(up) > bound_t:
-                        marked_append(v)
-            if not total_work:
+            try:
+                movers = self._rise_level(dirty, level, candidates, moved)
+            except _LevelOverflow:
                 if span is not None:
                     tracer.end(span)
-                continue  # no mover survived the filter at this level
-            tracker.add(total_work, mut_depth)
-            if marked_next:
-                # Within a level iteration every vertex is marked at most
-                # once (see the order-invariance note above), so one sort
-                # yields the bucket's canonical sorted-unique form.
-                bucket = dirty.get(target)
-                if bucket is None:
-                    marked_next.sort()
-                    dirty[target] = marked_next
-                else:
-                    dirty[target] = sorted(set(marked_next).union(bucket))
+                raise
             if span is not None:
+                if movers:
+                    span.attrs["movers"] = movers
                 tracer.end(span)
+
+    def _pop_rise_level(
+        self, dirty: dict[int, list[int]]
+    ) -> tuple[int, list[int]]:
+        """Pop the lowest dirty level and its candidates.
+
+        Levelwise, a candidate that violates Invariant 1 at the top level
+        would rise out of the table: raise :class:`_LevelOverflow` here,
+        before the level is traced or charged, as :meth:`_bulk_peel`
+        does.  (The jump strategy raises from :meth:`_up_desire_level`.)
+        """
+        level = min(dirty)
+        candidates = dirty.pop(level)
+        if (
+            level == self.num_levels - 1
+            and self.insertion_strategy == "levelwise"
+        ):
+            bound = self._inv1_bound_int[level]
+            vertices = self._vertices
+            if any(
+                len(rec.up) > bound
+                for v in candidates
+                if (rec := vertices[v]).level == level
+            ):
+                raise _LevelOverflow  # a mover would leave the table
+        return level, candidates
+
+    def _rise_level(
+        self,
+        dirty: dict[int, list[int]],
+        level: int,
+        candidates: list[int],
+        moved: set[int],
+    ) -> int:
+        """One Algorithm-2 level iteration: lift the ``candidates`` that
+        violate Invariant 1 at ``level``, add them to ``moved``, and mark
+        into ``dirty`` the vertices that violate it now.
+
+        The monolithic loop (:meth:`_rise`) and the shard kernels'
+        settle both take this step.  Records flagged ``ghost`` (a
+        shard's replicas of remote vertices) are never marked: their
+        owner marks them when it replays the move event.  Returns the
+        number of jump movers, for the level's span (the levelwise step
+        reports none).
+        """
+        vertices = self._vertices
+        bounds = self._inv1_bound_int
+        bound = bounds[level]
+        if self.insertion_strategy == "jump":
+            movers = [
+                v
+                for v in candidates
+                if (rec := vertices[v]).level == level and len(rec.up) > bound
+            ]
+            if not movers:
+                return 0
+            marks = self._marks
+            move_up_to = self._move_up_to
+            up_desire_level = self._up_desire_level
+
+            def rise(v: int) -> None:
+                rec = vertices[v]
+                newly_marked = move_up_to(rec, up_desire_level(rec))
+                moved.add(v)
+                if len(rec.up) > bounds[rec.level]:
+                    newly_marked.append(rec)
+                for wrec in newly_marked:
+                    if not wrec.ghost:
+                        marks[wrec.level].append(wrec.id)
+
+            # The bucket is already sorted-unique, so the filtered mover
+            # list is in canonical order without a re-sort.
+            if __debug__:
+                assert _is_sorted_unique(movers)
+            self.tracker.flat_parfor(movers, rise)
+            _merge_marks(dirty, marks)
+            return len(movers)
+        # Levelwise: :meth:`_move_up_to` one level up, inlined with
+        # aggregate charging.  Each rise would charge (|U[v]| or 1,
+        # mut_depth) into its own flat_parfor branch; the fold into the
+        # enclosing frame is (sum of the works, mut_depth), charged once
+        # below.  All movers rise exactly one level, and every vertex
+        # they newly mark sits exactly at ``level + 1``, so the dirty
+        # bucket is updated in bulk too.
+        target = level + 1
+        if target == self.num_levels:
+            return 0  # no violator here, or _pop_rise_level had raised
+        bound_t = bounds[target]
+        # A neighbor that already violated Invariant 1 at ``target``
+        # before this level iteration is already in some dirty bucket
+        # (edge inserts mark both endpoints; every rise re-marks the
+        # riser while it still violates), so a riser only needs to
+        # mark w on the exact bound crossing — later redundant marks
+        # would be deduplicated by the dirty set anyway.
+        crossing = bound_t + 1
+        track = self.track_orientation
+        touched = self._touched
+        total_work = 0
+        marked_next: list[int] = []
+        marked_append = marked_next.append
+        moved_add = moved.add
+        # Movers are visited in ascending-id bucket order.  Any order
+        # is parity-safe: a mover's U-set cardinality is unchanged
+        # while its own level is being processed (same-level risers
+        # re-add themselves to exactly the sets they left), so each
+        # captured |U[v]| — and hence the aggregate work charge — is
+        # order-invariant, and each target neighbor is marked exactly
+        # once (bound-crossing add, or its own move) in every order.
+        for v in candidates:
+            rec = vertices[v]
+            if rec.level != level:
+                continue
+            up = rec.up
+            if len(up) <= bound:
+                continue
+            moved_add(v)
+            total_work += len(up)
+            stay = None
+            for wrec in up:
+                lw = wrec.level
+                if lw == level:
+                    # w stays below v; v remains in U[w].
+                    if stay is None:
+                        stay = [wrec]
+                    else:
+                        stay.append(wrec)
+                else:
+                    wdown = wrec.down
+                    bucket = wdown[level]
+                    bucket.discard(rec)
+                    if not bucket:
+                        del wdown[level]
+                    if lw == target:
+                        wup = wrec.up
+                        wup.add(rec)
+                        if len(wup) == crossing and not wrec.ghost:
+                            marked_append(wrec.id)
+                    else:  # lw > target: w's L-structure shifts.
+                        slot = wdown.get(target)
+                        if slot is None:
+                            wdown[target] = {rec}
+                        else:
+                            slot.add(rec)
+            if stay is not None:
+                up.difference_update(stay)
+                slot = rec.down.get(level)
+                if slot is None:
+                    rec.down[level] = set(stay)
+                else:
+                    slot.update(stay)
+            rec.level = target
+            if track:
+                # Orientation can flip only on the edges to the
+                # neighbors left at ``level`` and those now level with v.
+                for wrec in stay or ():
+                    w = wrec.id
+                    touched.add((v, w) if v <= w else (w, v))
+                for wrec in up:
+                    if wrec.level == target:
+                        w = wrec.id
+                        touched.add((v, w) if v <= w else (w, v))
+            if len(up) > bound_t:
+                marked_append(v)
+        if not total_work:
+            return 0  # no mover survived the filter at this level
+        self.tracker.add(total_work, self._mut_depth)
+        if marked_next:
+            # Within a level iteration every vertex is marked at most
+            # once (see the order-invariance note above), so one sort
+            # yields the bucket's canonical sorted-unique form.
+            bucket = dirty.get(target)
+            if bucket is None:
+                marked_next.sort()
+                dirty[target] = marked_next
+            else:
+                dirty[target] = sorted(set(marked_next).union(bucket))
+        return 0
 
     def _bulk_peel(
         self, insertions: list[tuple[int, int]], moved: set[int]
@@ -1067,73 +1073,6 @@ class PLDS(QueryView):
                 if vertices[u].level or vertices[v].level:
                     touched.add((u, v) if u <= v else (v, u))
 
-    def _move_up(self, rec: "_VertexRecord") -> list["_VertexRecord"]:
-        """Move ``rec``'s vertex one level up (Algorithm 2's unit step).
-
-        Specialized single-level version of :meth:`_move_up_to` — the
-        dominant operation of levelwise insertion rebalancing.  With
-        ``target = old + 1`` an up-neighbor is either at exactly ``old``
-        (it stays below v; handled in bulk with C-level set operations),
-        at ``old + 1`` (v rises into its U-set), or higher (its L-slot
-        for v slides up one level).  Unlike :meth:`_move_up_to`, the
-        returned violation list (of records) includes ``v``'s own record
-        when v still violates Invariant 1 at the new level, so callers
-        skip the re-check.  Takes the record (not the id) so shard
-        kernels can apply the same step to ghost replicas that live
-        outside ``_vertices``.  Cost: O(|U[v]|) work, O(log* n) depth —
-        identical charges to the generic path.
-        """
-        v = rec.id
-        old = rec.level
-        target = old + 1
-        up = rec.up
-        self.tracker.add(len(up) or 1, self._mut_depth)
-        track = self.track_orientation
-        touched = self._touched
-        bounds = self._inv1_bound_int
-
-        stay: list[_VertexRecord] = []
-        newly_marked: list[_VertexRecord] = []
-        for wrec in up:
-            lw = wrec.level
-            if lw == old:
-                # w stays below v; v remains in U[w].
-                stay.append(wrec)
-                if track:
-                    w = wrec.id
-                    touched.add((v, w) if v <= w else (w, v))
-            else:
-                wdown = wrec.down
-                bucket = wdown[old]
-                bucket.discard(rec)
-                if not bucket:
-                    del wdown[old]
-                if lw == target:
-                    wup = wrec.up
-                    wup.add(rec)
-                    if len(wup) > bounds[target]:
-                        newly_marked.append(wrec)
-                    if track:
-                        w = wrec.id
-                        touched.add((v, w) if v <= w else (w, v))
-                else:  # lw > target: only w's L-structure shifts.
-                    slot = wdown.get(target)
-                    if slot is None:
-                        wdown[target] = {rec}
-                    else:
-                        slot.add(rec)
-        if stay:
-            up.difference_update(stay)
-            slot = rec.down.get(old)
-            if slot is None:
-                rec.down[old] = set(stay)
-            else:
-                slot.update(stay)
-        rec.level = target
-        if len(up) > bounds[target]:
-            newly_marked.append(rec)
-        return newly_marked
-
     def _move_up_to(
         self, rec: "_VertexRecord", target: int
     ) -> list["_VertexRecord"]:
@@ -1258,49 +1197,11 @@ class PLDS(QueryView):
             affected.add(ru)
             affected.add(rv)
         self._m -= len(deletions)
-
-        desire: dict[int, int] = {}
-        # Pending buckets are sorted-unique id lists, fed through per-level
-        # mark buffers merged once per round (see :func:`_merge_marks`).
-        pending: dict[int, list[int]] = {}
-        marks: defaultdict[int, list[int]] = defaultdict(list)
-        thresholds = self._inv2_thresh_int
-
-        def consider(w: int) -> None:
-            rec = vertices[w]
-            lvl = rec.level
-            if lvl == 0:
-                return
-            below = rec.down.get(lvl - 1)
-            up_star = len(rec.up) + (len(below) if below else 0)
-            if up_star < thresholds[lvl]:
-                dl = self._calculate_desire_level(rec)
-                desire[w] = dl
-                marks[dl].append(w)
-
-        # Only Invariant-2 violators charge anything in ``consider``, so a
-        # parfor over them alone, in id order, keeps the summed work, the
-        # max depth and the hook counts of one over every affected vertex.
-        violators: list[int] = []
-        for rec in affected:
-            lvl = rec.level
-            if lvl:
-                below = rec.down.get(lvl - 1)
-                if len(rec.up) + (len(below) if below else 0) < thresholds[lvl]:
-                    violators.append(rec.id)
-        violators.sort()
-        tracker.flat_parfor(violators, consider)
-        _merge_marks(pending, marks)
+        self._consider_all(affected)
 
         # Process levels bottom-up; each vertex moves exactly once
         # (Lemma 5.6: once level i is done, no vertex desires <= i).
-        #
-        # A stored desire-level can go stale in one way the "weakened"
-        # propagation cannot see: a neighbor later drops below the pending
-        # vertex's *target* level (while staying at/above its current
-        # level minus one).  We therefore revalidate dl(v) at move time;
-        # a changed value re-enqueues the vertex (desire-levels only
-        # decrease during a deletion phase, so this terminates).
+        pending = self._pending
         fault_plan = _faults.ACTIVE
         tracer = _tracing.ACTIVE
         mreg = _metrics.ACTIVE
@@ -1308,59 +1209,119 @@ class PLDS(QueryView):
             if fault_plan is not None:
                 fault_plan.hit("plds.desaturate")
             level = min(pending)
-            bucket = pending.pop(level)
+            queue = len(pending[level])
             span = (
                 tracer.begin(
-                    "plds.desaturate", tracker, level=level, queue=len(bucket)
+                    "plds.desaturate", tracker, level=level, queue=queue
                 )
                 if tracer is not None
                 else None
             )
             if mreg is not None:
                 mreg.inc("plds.desaturate_levels")
-                mreg.observe(
-                    "plds.cascade_queue", len(bucket), phase="desaturate"
-                )
-            movers = [
-                v
-                for v in bucket
-                if desire.get(v) == level and vertices[v].level > level
-            ]
-            tracker.add(work=1, depth=1)
-            if not movers:
-                if span is not None:
-                    tracer.end(span)
-                continue
-
-            def descend(v: int, level: int = level) -> None:
-                rec = vertices[v]
-                fresh = self._calculate_desire_level(rec)
-                if fresh != level:
-                    if fresh < rec.level:
-                        desire[v] = fresh
-                        marks[fresh].append(v)
-                    else:
-                        desire.pop(v, None)
-                    return
-                weakened = self._move_down(rec, level)
-                moved.add(v)
-                desire.pop(v, None)
-                for wrec in weakened:
-                    w = wrec.id
-                    if desire.get(w) is not None:
-                        # stale pending entry is skipped lazily
-                        desire.pop(w, None)
-                    consider(w)
-
-            # Buckets are sorted-unique, so the filtered mover list is
-            # already in canonical order — no per-round re-sort.
-            if __debug__:
-                assert _is_sorted_unique(movers)
-            tracker.flat_parfor(movers, descend)
-            _merge_marks(pending, marks)
+                mreg.observe("plds.cascade_queue", queue, phase="desaturate")
+            tracker.add(work=1, depth=1)  # the level-loop iteration itself
+            movers = self._desaturate_level(level, moved)
             if span is not None:
-                span.attrs["movers"] = len(movers)
+                if movers:
+                    span.attrs["movers"] = movers
                 tracer.end(span)
+
+    def _consider_all(self, affected: Collection[_VertexRecord]) -> None:
+        """Algorithm 3's prologue: :meth:`_consider` every ``affected``
+        record, as one parfor (none when nothing was affected).
+
+        Only Invariant-2 violators charge anything in ``_consider``, so a
+        parfor over them alone, in id order, keeps the summed work, the
+        max depth and the hook counts of one over every affected record.
+        """
+        if not affected:
+            return
+        thresholds = self._inv2_thresh_int
+        violators: list[_VertexRecord] = []
+        for rec in affected:
+            lvl = rec.level
+            if lvl:
+                below = rec.down.get(lvl - 1)
+                if len(rec.up) + (len(below) if below else 0) < thresholds[lvl]:
+                    violators.append(rec)
+        violators.sort(key=_record_id)
+        self.tracker.flat_parfor(violators, self._consider)
+        _merge_marks(self._pending, self._marks)
+
+    def _consider(self, rec: _VertexRecord) -> None:
+        """Algorithm 3's Invariant-2 check: a record whose ``up*`` is
+        below its level's threshold stores its desire level and is
+        marked pending there (merged by the caller's level step)."""
+        lvl = rec.level
+        if lvl == 0:
+            return
+        below = rec.down.get(lvl - 1)
+        up_star = len(rec.up) + (len(below) if below else 0)
+        if up_star < self._inv2_thresh_int[lvl]:
+            dl = self._calculate_desire_level(rec)
+            self._desire[rec.id] = dl
+            self._marks[dl].append(rec.id)
+
+    def _desaturate_level(self, level: int, moved: set[int]) -> int:
+        """One Algorithm-3 level iteration: lower the vertices pending at
+        ``level`` whose desire level is still ``level``, add them to
+        ``moved``, and :meth:`_consider` the neighbors they weakened.
+
+        The monolithic loop (:meth:`_rebalance_deletions`) and the shard
+        kernels' settle both take this step.  A stored desire level can
+        go stale in one way the weakened propagation cannot see: a
+        neighbor later drops below the vertex's *target* level (while
+        staying at/above its current level minus one).  So dl(v) is
+        revalidated at move time, and a changed value re-enqueues the
+        vertex (desire levels only decrease during a deletion phase, so
+        this terminates).  In a shard this also absorbs ghost staleness:
+        mirrored levels only over-estimate during a deletion phase, so a
+        stored desire is only ever too high.  Weakened ``ghost`` records
+        are left to their owner, which re-considers them when it replays
+        the move event.  Returns the number of movers, for the level's
+        span.
+        """
+        desire = self._desire
+        vertices = self._vertices
+        movers = [
+            v
+            for v in self._pending.pop(level)
+            if desire.get(v) == level and vertices[v].level > level
+        ]
+        if not movers:
+            return 0
+        marks = self._marks
+        consider = self._consider
+        calculate = self._calculate_desire_level
+        move_down = self._move_down
+
+        def descend(v: int) -> None:
+            rec = vertices[v]
+            fresh = calculate(rec)
+            if fresh != level:
+                if fresh < rec.level:
+                    desire[v] = fresh
+                    marks[fresh].append(v)
+                else:
+                    desire.pop(v, None)
+                return
+            weakened = move_down(rec, level)
+            moved.add(v)
+            desire.pop(v, None)
+            for wrec in weakened:
+                if not wrec.ghost:
+                    # Its stale pending entry is skipped lazily.
+                    desire.pop(wrec.id, None)
+                    consider(wrec)
+
+        # Buckets are sorted-unique, so the filtered mover list is
+        # already in canonical order — no per-round re-sort.
+        if __debug__:
+            assert _is_sorted_unique(movers)
+        self.tracker.flat_parfor(movers, descend)
+        _merge_marks(self._pending, marks)
+        return len(movers)
 
     def _move_down(
         self, rec: "_VertexRecord", new_level: int

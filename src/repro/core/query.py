@@ -347,6 +347,11 @@ class QueryView(CorenessQueries):
         exponent = max((pair[0] + 1) // self.levels_per_group - 1, 0)
         return self._group_pow[exponent]
 
+    def coreness(self, v: int) -> float:
+        """Coreness estimate of ``v`` (0.0 for unknown vertices): the
+        point path, one record read instead of the whole estimate map."""
+        return self.coreness_estimate(v)
+
     def coreness_estimates(self) -> dict[int, float]:
         """Estimates for every vertex the structure has seen."""
         lpg = self.levels_per_group

@@ -452,7 +452,7 @@ class Coordinator(QueryView):
             site = "plds.desaturate"
             min_of = ShardKernel.min_pending_level
             rise = False
-            self._consider_affected()
+            self._scan_affected()
         else:  # pragma: no cover - internal misuse
             raise ValueError(f"unknown cascade phase {phase!r}")
         tracker = self.tracker
@@ -558,7 +558,7 @@ class Coordinator(QueryView):
                     mreg.inc("shard.messages", messages, phase=phase)
                 mreg.observe("shard.round_messages", messages, phase=phase)
 
-    def _consider_affected(self) -> None:
+    def _scan_affected(self) -> None:
         """Fold every shard's post-deletion desire scans into
         :attr:`tracker` (parallel across shards: sum work, max depth)."""
         total = 0

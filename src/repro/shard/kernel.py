@@ -15,11 +15,11 @@ Local up-degrees, up*-degrees and desire-level scans are therefore
 at most one message round.  The level-message boundary:
 
 - :meth:`settle` runs the shard's own dirty/pending buckets to local
-  quiescence (:meth:`rise_level` / :meth:`desaturate_level` at the
-  shard's minimum level, repeated) and returns one **move event**
-  ``(v, new_level)`` per local vertex that moved, at its final level;
-  the marking a monolithic PLDS does in-line is skipped for ghost
-  records;
+  quiescence (the monolithic level steps :meth:`PLDS._rise_level` /
+  :meth:`PLDS._desaturate_level` at the shard's minimum level,
+  repeated) and returns one **move event** ``(v, new_level)`` per
+  local vertex that moved, at its final level; the level steps never
+  mark a ghost record;
 - :meth:`apply_moves` replays remote events onto the local ghost
   replicas via the record-based primitives ``_move_up_to`` /
   ``_move_down`` — whose returned newly-marked / weakened records are
@@ -44,9 +44,10 @@ union over shards is the global edge set, duplicate-free.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Iterable
 
-from ..core.plds import PLDS, _LevelOverflow, _VertexRecord
+from ..core.plds import PLDS, _merge_marks, _VertexRecord
 from ..parallel.engine import WorkDepthTracker
 
 __all__ = ["ShardKernel"]
@@ -105,14 +106,12 @@ class ShardKernel(PLDS):
         self.owns = owns
         #: ghost replicas of remote neighbors, keyed by vertex id.
         self._ghosts: dict[int, _VertexRecord] = {}
-        #: rise state: level -> set of local records marked dirty there.
-        self._dirty: dict[int, set[_VertexRecord]] = {}
-        #: desaturate state: vertex -> stored desire level, and
-        #: level -> pending local vertex ids (Algorithm 3's buckets).
-        self._desire: dict[int, int] = {}
-        self._pending: dict[int, set[int]] = {}
-        #: local endpoints touched by deletions, awaiting a desire scan.
-        self._affected: set[int] = set()
+        #: rise state: level -> sorted-unique ids of the local vertices
+        #: marked dirty there (desaturate state is PLDS's own).
+        self._dirty: dict[int, list[int]] = {}
+        #: local endpoint records touched by deletions, awaiting a
+        #: desire scan.
+        self._affected: set[_VertexRecord] = set()
 
     # ------------------------------------------------------------------
     # Structural apply steps (scatter phase)
@@ -154,7 +153,7 @@ class ShardKernel(PLDS):
         items = list(items)
         self.tracker.add(work=2 * len(items), depth=self._mut_depth)
         new_ghosts: list[int] = []
-        dirty = self._dirty
+        marks = self._marks
         for u, v, counted in items:
             ru = self._materialize(u, levels, new_ghosts)
             rv = self._materialize(v, levels, new_ghosts)
@@ -162,13 +161,9 @@ class ShardKernel(PLDS):
             if counted:
                 self._m += 1
             for r in (ru, rv):
-                if r.ghost:
-                    continue
-                bucket = dirty.get(r.level)
-                if bucket is None:
-                    dirty[r.level] = {r}
-                else:
-                    bucket.add(r)
+                if not r.ghost:
+                    marks[r.level].append(r.id)
+        _merge_marks(self._dirty, marks)
         return new_ghosts
 
     def apply_deletions(
@@ -197,19 +192,15 @@ class ShardKernel(PLDS):
                         del self._ghosts[r.id]
                         dropped.append(r.id)
                 else:
-                    affected.add(r.id)
+                    affected.add(r)
         return dropped
 
     def consider_affected(self) -> None:
         """Desire-scan every local endpoint the deletion batch touched
-        (the ``flat_parfor(sorted(affected), consider)`` prologue of
-        Algorithm 3, restricted to this shard)."""
-        affected = sorted(self._affected)
+        (Algorithm 3's prologue, :meth:`PLDS._consider_all`, restricted
+        to this shard)."""
+        self._consider_all(self._affected)
         self._affected.clear()
-        if not affected:
-            return
-        vertices = self._vertices
-        self.tracker.flat_parfor(affected, lambda v: self._consider(vertices[v]))
 
     # ------------------------------------------------------------------
     # Cascade steps (round phase)
@@ -226,190 +217,30 @@ class ShardKernel(PLDS):
         quiescence; return ``vertex -> final level`` for every local
         vertex that moved.
 
-        Each step processes the shard's own minimum dirty (pending)
-        level, so a vertex may move several times before its move is
-        reported — once, at its final level.  Ghost levels stay as they
-        were at the last exchange until :meth:`apply_moves`.
+        Each step is the monolithic level step (:meth:`PLDS._rise_level`
+        or :meth:`PLDS._desaturate_level`) at the shard's own minimum
+        dirty (pending) level, without the monolithic loop's per-level
+        spans, fault hits and metrics.  A vertex may move several times
+        before its move is reported — once, at its final level.  Ghost
+        levels stay as they were at the last exchange until
+        :meth:`apply_moves`; the level steps leave marking a ghost to
+        its owner, which sees this shard's move event there.
         """
-        moves: dict[int, int] = {}
+        tracker = self.tracker
+        moved: set[int] = set()
         if rise:
-            buckets, step = self._dirty, self.rise_level
+            dirty = self._dirty
+            while dirty:
+                tracker.add(work=1, depth=1)  # the level-loop iteration
+                level, candidates = self._pop_rise_level(dirty)
+                self._rise_level(dirty, level, candidates, moved)
         else:
-            buckets, step = self._pending, self.desaturate_level
-        while buckets:
-            step(min(buckets), moves)
-        return moves
-
-    def rise_level(self, level: int, moves: dict[int, int]) -> None:
-        """Process this shard's dirty bucket at ``level`` (one Algorithm-2
-        level iteration), recording each mover's new level in ``moves``.
-
-        Identical decisions to the monolithic loop, with one boundary
-        difference: a ghost up-neighbor crossing its Invariant-1 bound
-        is *not* marked here — its owner marks it when
-        :meth:`apply_moves` replays this shard's move events there
-        (``_move_up_to`` uses a ``>``-bound check, so the owner-side
-        mark is violation-driven and robust to stale mirror counts).
-        """
-        tracker = self.tracker
-        tracker.add(work=1, depth=1)  # the level-loop iteration itself
-        candidates = self._dirty.pop(level, None)
-        if not candidates:
-            return
-        bounds = self._inv1_bound_int
-        bound = bounds[level]
-        dirty = self._dirty
-
-        if self.insertion_strategy == "jump":
-            movers = {
-                rec.id: rec
-                for rec in candidates
-                if rec.level == level and len(rec.up) > bound
-            }
-            if not movers:
-                return
-
-            def rise(v: int) -> None:
-                rec = movers[v]
-                newly_marked = self._move_up_to(
-                    rec, self._up_desire_level(rec)
-                )
-                moves[v] = rec.level
-                if len(rec.up) > bounds[rec.level]:
-                    newly_marked.append(rec)
-                for wrec in newly_marked:
-                    if wrec.ghost:
-                        continue  # the owner marks it off our move event
-                    bucket = dirty.get(wrec.level)
-                    if bucket is None:
-                        dirty[wrec.level] = {wrec}
-                    else:
-                        bucket.add(wrec)
-
-            tracker.flat_parfor(sorted(movers), rise)
-            return
-
-        # Levelwise: the monolithic inlined fast path, minus orientation
-        # bookkeeping (unsupported here), plus ghost-mark suppression and
-        # move recording.  Aggregate charging is identical: the sum of
-        # |U[v]| over movers as work, one structure-mutation depth.
-        target = level + 1
-        if target == self.num_levels:
-            if any(
-                rec.level == level and len(rec.up) > bound for rec in candidates
-            ):
-                raise _LevelOverflow  # a mover would leave the table
-            return
-        bound_t = bounds[target]
-        crossing = bound_t + 1
-        total_work = 0
-        marked_next: list[_VertexRecord] = []
-        marked_append = marked_next.append
-        for rec in candidates:
-            if rec.level != level:
-                continue
-            up = rec.up
-            if len(up) <= bound:
-                continue
-            total_work += len(up)
-            stay = None
-            for wrec in up:
-                lw = wrec.level
-                if lw == level:
-                    # w stays below v; v remains in U[w].
-                    if stay is None:
-                        stay = [wrec]
-                    else:
-                        stay.append(wrec)
-                else:
-                    wdown = wrec.down
-                    bucket = wdown[level]
-                    bucket.discard(rec)
-                    if not bucket:
-                        del wdown[level]
-                    if lw == target:
-                        wup = wrec.up
-                        wup.add(rec)
-                        if len(wup) == crossing and not wrec.ghost:
-                            marked_append(wrec)
-                    else:  # lw > target: w's L-structure shifts.
-                        slot = wdown.get(target)
-                        if slot is None:
-                            wdown[target] = {rec}
-                        else:
-                            slot.add(rec)
-            if stay is not None:
-                up.difference_update(stay)
-                slot = rec.down.get(level)
-                if slot is None:
-                    rec.down[level] = set(stay)
-                else:
-                    slot.update(stay)
-            rec.level = target
-            moves[rec.id] = target
-            if len(up) > bound_t:
-                marked_append(rec)
-        if not total_work:
-            return
-        tracker.add(total_work, self._mut_depth)
-        if marked_next:
-            bucket = dirty.get(target)
-            if bucket is None:
-                dirty[target] = set(marked_next)
-            else:
-                bucket.update(marked_next)
-
-    def desaturate_level(self, level: int, moves: dict[int, int]) -> None:
-        """Process this shard's pending bucket at ``level`` (one
-        Algorithm-3 level iteration), recording each mover's new level
-        in ``moves``.
-
-        Desire levels are revalidated at move time exactly as in the
-        monolithic loop — with ghosts this also absorbs cross-shard
-        staleness: mirrored levels only over-estimate during a deletion
-        phase, so a stored desire is only ever too high, and the fresh
-        scan (or a later weakened-propagation re-consider) corrects it.
-        """
-        tracker = self.tracker
-        tracker.add(work=1, depth=1)
-        bucket = self._pending.pop(level, None)
-        if not bucket:
-            return
-        desire = self._desire
+            pending = self._pending
+            while pending:
+                tracker.add(work=1, depth=1)
+                self._desaturate_level(min(pending), moved)
         vertices = self._vertices
-        movers = [
-            v
-            for v in bucket
-            if desire.get(v) == level and vertices[v].level > level
-        ]
-        if not movers:
-            return
-        pending = self._pending
-
-        def descend(v: int) -> None:
-            rec = vertices[v]
-            fresh = self._calculate_desire_level(rec)
-            if fresh != level:
-                if fresh < rec.level:
-                    desire[v] = fresh
-                    slot = pending.get(fresh)
-                    if slot is None:
-                        pending[fresh] = {v}
-                    else:
-                        slot.add(v)
-                else:
-                    desire.pop(v, None)
-                return
-            weakened = self._move_down(rec, level)
-            moves[v] = level
-            desire.pop(v, None)
-            for wrec in weakened:
-                if wrec.ghost:
-                    continue  # the owner re-considers it off our event
-                desire.pop(wrec.id, None)
-                self._consider(wrec)
-
-        tracker.flat_parfor(sorted(movers), descend)
+        return {v: vertices[v].level for v in moved}
 
     def apply_moves(self, events: list[MoveEvent]) -> None:
         """Replay remote move events onto this shard's ghost replicas.
@@ -423,42 +254,24 @@ class ShardKernel(PLDS):
         ``flat_parfor`` (sum of the works, max of the depths).
         """
         ghosts = self._ghosts
-        dirty = self._dirty
         desire = self._desire
+        consider = self._consider
+        rise_marks: defaultdict[int, list[int]] = defaultdict(list)
 
         def replay(event: MoveEvent) -> None:
             rec = ghosts[event[0]]
             new = event[1]
             if new > rec.level:
                 for wrec in self._move_up_to(rec, new):
-                    bucket = dirty.get(wrec.level)
-                    if bucket is None:
-                        dirty[wrec.level] = {wrec}
-                    else:
-                        bucket.add(wrec)
+                    rise_marks[wrec.level].append(wrec.id)
             else:
                 for wrec in self._move_down(rec, new):
                     desire.pop(wrec.id, None)
-                    self._consider(wrec)
+                    consider(wrec)
 
         self.tracker.flat_parfor(events, replay)
-
-    def _consider(self, rec: _VertexRecord) -> None:
-        """Algorithm 3's Invariant-2 check + desire enqueue for a local
-        record (the monolithic ``consider`` closure, shard-resident)."""
-        lvl = rec.level
-        if lvl == 0:
-            return
-        below = rec.down.get(lvl - 1)
-        up_star = len(rec.up) + (len(below) if below else 0)
-        if up_star < self._inv2_thresh_int[lvl]:
-            dl = self._calculate_desire_level(rec)
-            self._desire[rec.id] = dl
-            bucket = self._pending.get(dl)
-            if bucket is None:
-                self._pending[dl] = {rec.id}
-            else:
-                bucket.add(rec.id)
+        _merge_marks(self._dirty, rise_marks)
+        _merge_marks(self._pending, self._marks)
 
     # ------------------------------------------------------------------
     # Shard-local rollback (the ``shard.apply`` fault boundary)
@@ -510,6 +323,7 @@ class ShardKernel(PLDS):
         self._dirty = {}
         self._desire = {}
         self._pending = {}
+        self._marks.clear()
         self._affected = set()
 
     # ------------------------------------------------------------------

@@ -36,9 +36,6 @@ class ParallelBucketing:
         self._heap: list[int] = []
         self.update_batch(assignments)
 
-    def __len__(self) -> int:
-        return len(self._bucket_of)
-
     def update_batch(self, assignments: Iterable[tuple[int, int]]) -> None:
         """Move each ``(vertex, bucket)`` to its new bucket (batched)."""
         assignments = list(assignments)

@@ -10,7 +10,7 @@ from repro.baselines.hua import HuaExactBatchDynamic
 from repro.baselines.sun import SunApproxDynamic
 from repro.baselines.traversal import TraversalCoreMaintenance
 from repro.baselines.zhang import ZhangExactDynamic
-from repro.graphs.generators import barabasi_albert, erdos_renyi, ring_of_cliques
+from repro.graphs.generators import barabasi_albert, erdos_renyi
 from repro.graphs.streams import Batch
 from repro.static_kcore.exact import exact_coreness
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.core.plds import DirectedEdge
 from repro.framework.framework import FrameworkDriver
 from repro.graphs.streams import Batch, EdgeUpdate
 

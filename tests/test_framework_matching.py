@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.framework import create_matching_driver, static_maximal_matching
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
 from repro.graphs.streams import Batch

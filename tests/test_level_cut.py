@@ -7,7 +7,8 @@ property drives every level-structure engine through random
 insert/delete streams and checks each answer against the float
 definition it replaces, at every threshold where an off-by-one in the
 cut would show: each ``(1+δ)^e`` of the power table exactly, its two
-float neighbours, zero, negatives, the infinities and NaN.
+float neighbours, zero, negatives, the infinities and NaN.  Point reads
+(``coreness``) take the one-record Definition-5.11 path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.plds import PLDS
 from repro.graphs.streams import Batch
 from repro.registry import make_adapter
 from repro.service import CoreService
+from repro.shard import Coordinator
 from repro.static_kcore.subgraphs import approx_k_core_candidates
 
 pytestmark = pytest.mark.query
@@ -155,3 +157,29 @@ def test_cut_edge_cases():
     assert plds.level_cut(math.inf) is None
     assert plds.level_cut(math.nextafter(top[-1], math.inf)) is None
     assert plds.core_members(math.nan) == set()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: PLDS(n_hint=_N), id="plds"),
+        pytest.param(
+            lambda: Coordinator(_N, shards=2),
+            id="plds-sharded",
+            marks=pytest.mark.shard,
+        ),
+    ],
+)
+def test_point_coreness_reads_one_record(monkeypatch, make):
+    engine = make()
+    engine.update(Batch(insertions=[(0, 1), (1, 2), (2, 0), (3, 4)]))
+    engine.update(Batch(deletions=[(3, 4)]))
+    expected = engine.coreness_estimates()
+
+    def sweep():
+        raise AssertionError("a point read walked every record")
+
+    monkeypatch.setattr(engine, "_records", sweep)
+    assert {v: engine.coreness(v) for v in expected} == expected
+    assert expected[0] > 0.0 and expected[3] == 0.0
+    assert engine.coreness(99) == 0.0

@@ -23,7 +23,7 @@ from repro.bench.chaos import chaos_workload, run_chaos
 from repro.bench.metrics import error_percentiles, error_stats
 from repro.core.plds import PLDS
 from repro.graphs.generators import barabasi_albert, erdos_renyi
-from repro.graphs.streams import Batch, insertion_batches, sliding_window_batches
+from repro.graphs.streams import Batch, sliding_window_batches
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.export import (
@@ -45,7 +45,6 @@ from repro.obs.tracing import (
     self_cost,
     tracing,
 )
-from repro.parallel.engine import WorkDepthTracker
 from repro.service import CoreService
 from repro.static_kcore.exact import exact_coreness
 

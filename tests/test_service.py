@@ -8,7 +8,7 @@ from repro.core.plds import PLDS
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch, EdgeUpdate, insertion_batches
 from repro.parallel.scheduler import BrentScheduler
-from repro.service import CoreService, ServiceSnapshot
+from repro.service import CoreService
 from repro.static_kcore.exact import exact_coreness
 
 EDGES = barabasi_albert(120, 3, seed=5)

@@ -20,7 +20,7 @@ from repro.obs import recorder as obs_recorder
 from repro.obs import timeline as obs_timeline
 from repro.obs.export import timeline_counter_events, to_chrome_trace
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.obs.recorder import TRIGGERS, FlightRecorder, recording
+from repro.obs.recorder import FlightRecorder, recording
 from repro.obs.slo import (
     DEFAULT_RULES,
     SLOReport,

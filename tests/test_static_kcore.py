@@ -53,10 +53,6 @@ class TestBucketing:
         with pytest.raises(ValueError):
             b.update_batch([(1, -1)])
 
-    def test_len(self, tracker):
-        b = ParallelBucketing(tracker, [(i, i) for i in range(5)])
-        assert len(b) == 5
-
 
 class TestExactCoreness:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
