@@ -13,11 +13,10 @@ from .orientation import (
     out_degrees,
 )
 from .plds import PLDS, DirectedEdge, UpdateResult
-from .query import CorenessQueries, EpochSnapshot, QueryView
+from .query import EpochSnapshot, QueryView
 
 __all__ = [
     "PLDS",
-    "CorenessQueries",
     "EpochSnapshot",
     "QueryView",
     "charikar_peel",

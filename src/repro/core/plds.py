@@ -512,41 +512,10 @@ class PLDS(QueryView):
     #: Span name of :meth:`update`; subclasses override (``lds.update``).
     _SPAN_NAME = "plds.update"
 
-    def update(self, batch: Batch) -> UpdateResult:
-        """Apply a batch of unique, valid edge updates (Algorithm 1).
-
-        Insertions are rebalanced first (Algorithm 2), then deletions
-        (Algorithm 3); orientation changes are derived afterwards
-        (Algorithm 5).  Returns an :class:`UpdateResult`.
-
-        The batch is checked up front against the Section-8 contract
-        (:func:`repro.graphs.streams.check_batch`), so an invalid batch
-        raises ``ValueError`` *before* any mutation; use
-        :func:`repro.graphs.streams.preprocess_batch` to clean raw
-        streams.
-        """
-        tracer = _tracing.ACTIVE
-        if tracer is None:
-            result = self._apply_batch(batch)
-        else:
-            with tracer.span(
-                self._SPAN_NAME,
-                self.tracker,
-                insertions=len(batch.insertions),
-                deletions=len(batch.deletions),
-            ):
-                result = self._apply_batch(batch)
-        # Incremental-publication bookkeeping (repro.core.query): a
-        # rebuild re-levels every vertex, so batch moves alone no longer
-        # bound what changed — fall back to the full-publish sentinel.
-        if self._levels_reshaped:
-            self.last_moved = None
-            self._levels_reshaped = False
-        else:
-            self.last_moved = result.moved_vertices
-        return result
-
     def _apply_batch(self, batch: Batch) -> UpdateResult:
+        """One batch of :meth:`update`: insertions are rebalanced first
+        (Algorithm 2), then deletions (Algorithm 3); orientation changes
+        are derived afterwards (Algorithm 5)."""
         inserted, deleted, ins_pairs, del_pairs = self._validate_batch(batch)
         result = UpdateResult()
         self._touched = set()
@@ -1550,7 +1519,9 @@ class PLDS(QueryView):
             self._rebuild(min_hint)
 
     def _rebuild(self, min_hint: int = 0) -> None:
-        edges = list(self.edges())
+        # Sorted: LDS replays edge by edge, so the order must not follow
+        # record-set iteration (object addresses).
+        edges = sorted(self.edges())
         vertices = list(self.vertices())
         # Resize to the live vertex count (growing or shrinking), so the
         # level count K tracks the current n as Section 5.9 requires.

@@ -20,18 +20,21 @@ degree, with ``L(k)`` computed once per query by
 walk the records against that cut (``docs/cost_model.md``, "Threshold
 queries in level space").
 
-On top of the shared surface sits the **epoch store** (the
-asynchronous-reads model of Liu–Shun–Zablotchi, PAPERS.md): an engine
-*publishes* an immutable :class:`EpochSnapshot` of its level image at
-each commit point, and readers query the snapshot — wait-free, never
-observing a torn mid-batch state.  Each image is an :class:`EpochImage`:
-values stored in chunks of ``CHUNK_WIDTH`` consecutive vertex ids, so
-publication is *path copying* — the next epoch copies the outer chunk
-table (n / ``CHUNK_WIDTH`` references), copies each chunk holding a
-``touched`` vertex whose entry changed, once, and shares every other
-chunk with the previous epoch.  A commit pays O(n / W + W·|touched|)
-reference copies and no full-map copy.  Publication is opt-in — engines
-driven directly (the bench hot path) never publish and pay nothing.
+Committed state is read from **epochs** (the asynchronous-reads model
+of Liu–Shun–Zablotchi, PAPERS.md): an immutable :class:`EpochSnapshot`
+of the level image, published by :class:`repro.service.CoreService` at
+each commit point, so readers query it wait-free and never observe a
+torn mid-batch state.  The service's published epoch is the only copy;
+an engine only *builds* the next images (:meth:`QueryView.publish_epoch`)
+from the previous epoch's and keeps none.  Each image is an
+:class:`EpochImage`: values stored in chunks of ``CHUNK_WIDTH``
+consecutive vertex ids, so publication is *path copying* — the next
+epoch copies the outer chunk table (n / ``CHUNK_WIDTH`` references),
+copies each chunk holding a ``touched`` vertex whose entry changed,
+once, and shares every other chunk with the previous epoch.  A commit
+pays O(n / W + W·|touched|) reference copies and no full-map copy.
+Engines driven directly (the bench hot path) never publish and pay
+nothing.
 
 Two pieces of bookkeeping make incremental publication safe:
 
@@ -44,9 +47,8 @@ Two pieces of bookkeeping make incremental publication safe:
   records wholesale), forcing the next ``last_moved`` to ``None``.
 
 Both live as *class-attribute defaults* (instance slots are only
-assigned on use): ``PLDS._rebuild`` re-runs ``__init__`` in place, and
-state initialized there would silently reset the epoch counter on every
-rebuild.
+assigned on use), so ``PLDS._rebuild``, which re-runs ``__init__`` in
+place, leaves them alone.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterable, Iterator, TypeVar, cast
 
+from ..obs import tracing as _tracing
+
 __all__ = [
     "CHUNK_WIDTH",
-    "CorenessQueries",
     "EpochImage",
     "EpochSnapshot",
     "QueryView",
@@ -195,64 +198,24 @@ class _ImageValues(ValuesView):
         return chain.from_iterable(map(dict.values, chunks.values()))
 
 
-class CorenessQueries:
-    """Query algebra over a coreness-estimate mapping.
-
-    Hosts implement :meth:`_estimates_view`; everything else — point
-    lookups, membership thresholds, the densest-subgraph estimate — is
-    derived here, once, for engines, epoch snapshots, and service
-    snapshots alike.
-    """
-
-    def _estimates_view(self) -> Mapping[int, float]:
-        raise NotImplementedError
-
-    def coreness(self, v: int) -> float:
-        """Coreness estimate of ``v`` (0.0 for unknown vertices)."""
-        return float(self._estimates_view().get(v, 0.0))
-
-    def coreness_map(self) -> dict[int, float]:
-        """Estimates for every vertex the structure has seen."""
-        return dict(self._estimates_view())
-
-    def core_members(self, k: float) -> set[int]:
-        """Vertices whose coreness estimate is at least ``k``."""
-        return {v for v, c in self._estimates_view().items() if c >= k}
-
-    def densest_estimate(self) -> tuple[float, set[int]]:
-        """``2(2+ε)``-approximate max subgraph density: ``k̂_max / 2``
-        plus the witness set achieving the maximum estimate (same
-        contract as :func:`repro.core.densest.densest_subgraph_estimate`)."""
-        est = self._estimates_view()
-        best = 0.0
-        for c in est.values():
-            if c > best:
-                best = c
-        if best == 0.0:
-            return 0.0, set()
-        return best / 2.0, {v for v, c in est.items() if c == best}
-
-
 @dataclass(frozen=True)
-class EpochSnapshot(CorenessQueries):
+class EpochSnapshot:
     """One immutable published read epoch.
 
     ``estimates`` and ``levels`` are immutable :class:`EpochImage` maps —
     an epoch, once published, never changes (that is the whole
     consistency contract).  Images passed in are shared, not copied, so
-    a service epoch wrapping its engine's epoch costs no map copy of its
-    own, and consecutive epochs share every chunk the commit between
-    them left alone.  Engine-level epochs carry just the level
-    image; service-level epochs additionally carry the batch horizon
-    and the degradation flag.  Epochs are published without edges;
-    :attr:`repro.service.ServiceReader.view` pins the committed edge set
-    on request, once per epoch.
+    consecutive epochs share every chunk the commit between them left
+    alone.  Besides the images an epoch carries the batch horizon and
+    the degradation flag of the service that published it.  Epochs are
+    published without edges; :attr:`repro.service.ServiceReader.view`
+    pins the committed edge set on request, once per epoch.
     """
 
     epoch: int
     estimates: EpochImage[float] = field(repr=False)
     levels: EpochImage[int] = field(repr=False)
-    #: committed batches reflected by this epoch (service-level).
+    #: committed batches reflected by this epoch.
     batches_applied: int = 0
     #: was the service degraded when this epoch was published?
     degraded: bool = False
@@ -269,22 +232,32 @@ class EpochSnapshot(CorenessQueries):
             if type(value) is not EpochImage:
                 object.__setattr__(self, name, EpochImage(value))
 
-    def _estimates_view(self) -> Mapping[int, float]:
-        return self.estimates
-
     def coreness(self, v: int) -> float:
+        """Coreness estimate of ``v`` (0.0 for unknown vertices)."""
         # Inlined EpochImage.get: this is the point-read hot path.
         chunk = self.estimates._chunks.get(v >> _SHIFT)
         return 0.0 if chunk is None else float(chunk.get(v, 0.0))
 
     def coreness_map(self) -> dict[int, float]:
+        """Estimates for every vertex of the epoch."""
         # dict(image) would fetch every key through __getitem__.
         return dict(self.estimates.items())
 
     def core_members(self, k: float) -> set[int]:
+        """Vertices whose coreness estimate is at least ``k``."""
         # Walk the chunks directly: as fast as a flat dict scan.
         chunks = self.estimates._chunks.values()
         return {v for chunk in chunks for v, c in chunk.items() if c >= k}
+
+    def densest_estimate(self) -> tuple[float, set[int]]:
+        """``2(2+ε)``-approximate max subgraph density: ``k̂_max / 2``
+        plus the witness set achieving the maximum estimate (same
+        contract as :func:`repro.core.densest.densest_subgraph_estimate`)."""
+        est = self.estimates
+        best = max(est.values(), default=0.0)
+        if best == 0.0:
+            return 0.0, set()
+        return best / 2.0, {v for v, c in est.items() if c == best}
 
     def level(self, v: int) -> int:
         """Level of ``v`` as of this epoch (0 for unknown vertices)."""
@@ -298,23 +271,25 @@ EMPTY_EPOCH = EpochSnapshot(
 )
 
 
-class QueryView(CorenessQueries):
-    """Mixin giving a level-structure engine the shared query surface
-    plus path-copied epoch publication.
+class QueryView:
+    """Mixin giving a level-structure engine the shared query surface,
+    the batch-update template, and path-copied epoch images.
 
-    Hosts provide :meth:`_records` / :meth:`_level_deg_of` and the
-    estimate parameters ``levels_per_group`` / ``_group_pow``; the
-    mixin provides every derived query.  Point estimates and the full
-    estimate map apply Definition 5.11 per vertex; the threshold
-    queries (:meth:`core_members`, :meth:`densest_estimate`) compare
-    each record's level against one :meth:`level_cut` instead, with
-    answers bit-identical to filtering the float estimates.
+    Hosts provide :meth:`_records` / :meth:`_level_deg_of`, the
+    estimate parameters ``levels_per_group`` / ``_group_pow``, a
+    ``tracker``, ``_SPAN_NAME`` and ``_apply_batch``; the mixin provides
+    every derived query.  Point estimates and the full estimate map
+    apply Definition 5.11 per vertex; the threshold queries
+    (:meth:`core_members`, :meth:`densest_estimate`) compare each
+    record's level against one :meth:`level_cut` instead, with answers
+    bit-identical to filtering the float estimates.
     """
 
+    #: Span name of :meth:`update` (``plds.update``, ``lds.update``,
+    #: ``coordinator.update``).
+    _SPAN_NAME: str
     # Class-attribute defaults, NOT __init__ state: PLDS._rebuild()
-    # re-runs __init__ in place and must not reset the epoch store.
-    _published: EpochSnapshot | None = None
-    _epoch_serial: int = 0
+    # re-runs __init__ in place.
     #: vertices moved by the last update(); ``None`` = publish fully.
     last_moved: "set[int] | frozenset[int] | None" = None
     #: set by rebuild / vertex insertion / vertex deletion: the level
@@ -331,6 +306,41 @@ class QueryView(CorenessQueries):
     def _level_deg_of(self, v: int) -> tuple[int, int] | None:
         """``(level, degree)`` of ``v``, or ``None`` if absent."""
         raise NotImplementedError
+
+    def _apply_batch(self, batch: Any) -> Any:
+        """Apply one checked batch; returns the host's update result
+        (with ``moved_vertices``)."""
+        raise NotImplementedError
+
+    # -- updates -------------------------------------------------------
+
+    def update(self, batch: Any) -> Any:
+        """Apply a batch of unique, valid edge updates (Algorithm 1).
+
+        The host's ``_apply_batch`` runs under a ``_SPAN_NAME`` span when
+        a tracer is installed; afterwards :attr:`last_moved` records the
+        batch's moved vertices, or ``None`` when a rebuild re-levelled
+        everything (the full-publish sentinel).  An invalid batch raises
+        ``ValueError`` before any mutation (see
+        :func:`repro.graphs.streams.check_batch`).
+        """
+        tracer = _tracing.ACTIVE
+        if tracer is None:
+            result = self._apply_batch(batch)
+        else:
+            with tracer.span(
+                self._SPAN_NAME,
+                self.tracker,
+                insertions=len(batch.insertions),
+                deletions=len(batch.deletions),
+            ):
+                result = self._apply_batch(batch)
+        if self._levels_reshaped:
+            self.last_moved = None
+            self._levels_reshaped = False
+        else:
+            self.last_moved = result.moved_vertices
+        return result
 
     # -- the shared query surface --------------------------------------
 
@@ -363,7 +373,8 @@ class QueryView(CorenessQueries):
             for r in self._records()
         }
 
-    def _estimates_view(self) -> Mapping[int, float]:
+    def coreness_map(self) -> dict[int, float]:
+        """Estimates for every vertex the structure has seen."""
         return self.coreness_estimates()
 
     def level_cut(self, k: float) -> int | None:
@@ -399,7 +410,7 @@ class QueryView(CorenessQueries):
 
     def densest_estimate(self) -> tuple[float, set[int]]:
         """``k̂_max / 2`` and its witness set, as
-        :meth:`CorenessQueries.densest_estimate`: the largest estimate is
+        :meth:`EpochSnapshot.densest_estimate`: the largest estimate is
         that of the highest non-zero-degree level, and the witness is
         the cut at that estimate."""
         top = -1
@@ -417,32 +428,33 @@ class QueryView(CorenessQueries):
 
         return k_core_subgraph(self.edges(), k)
 
-    # -- epoch publication ---------------------------------------------
+    # -- epoch images --------------------------------------------------
 
     def publish_epoch(
-        self, touched: Iterable[int] | None = None
-    ) -> EpochSnapshot:
-        """Publish the current level image as a new immutable epoch.
+        self, touched: Iterable[int] | None, prev: EpochSnapshot
+    ) -> tuple[EpochImage[float], EpochImage[int]]:
+        """The next epoch's ``(estimates, levels)`` images.
 
-        ``touched`` names the vertices whose entries may differ from the
-        previous epoch (:attr:`last_moved` plus the batch endpoints whose
-        degree crossed zero; see ``CoreService._commit_touched``); their
-        entries are re-derived and path-copied into the previous epoch's
-        images (:meth:`EpochImage.evolve`), every other chunk shared.
-        ``touched=None`` — or a pending :attr:`_levels_reshaped` flag —
-        publishes from scratch.  Call this only at commit points: a
-        snapshot taken mid-apply would capture exactly the torn state
-        the epoch store exists to hide.
+        ``touched`` names the vertices whose entries may differ from
+        ``prev``, the last published epoch (:attr:`last_moved` plus the
+        batch endpoints whose degree crossed zero; see
+        ``CoreService._commit_touched``); their entries are re-derived
+        and path-copied into ``prev``'s images (:meth:`EpochImage.evolve`),
+        every other chunk shared.  ``touched=None``, an empty
+        ``prev.levels``, or a pending :attr:`_levels_reshaped` flag
+        builds the images from scratch.  Call this only at commit
+        points: images taken mid-apply would capture exactly the torn
+        state epochs exist to hide.  The engine keeps no reference to
+        what it returns.
         """
         if self._levels_reshaped:
             touched = None
             self._levels_reshaped = False
-        prev = self._published
         lpg = self.levels_per_group
         pow_table = self._group_pow
         # An empty previous image (the initial bulk load) gains nothing
         # from path copying: build it in the faster single pass.
-        if prev is None or touched is None or not prev.levels:
+        if touched is None or not prev.levels:
             est_chunks: dict[int, dict[int, float]] = {}
             lvl_chunks: dict[int, dict[int, int]] = {}
             for r in self._records():
@@ -461,42 +473,24 @@ class QueryView(CorenessQueries):
                 )
                 lc[v] = lvl
             size = sum(map(len, lvl_chunks.values()))
-            estimates = EpochImage._wrap(est_chunks, size)
-            levels = EpochImage._wrap(lvl_chunks, size)
-        else:
-            est_changes: list[tuple[int, float | None]] = []
-            lvl_changes: list[tuple[int, int | None]] = []
-            for v in touched:
-                pair = self._level_deg_of(v)
-                if pair is None:
-                    est_changes.append((v, None))
-                    lvl_changes.append((v, None))
-                else:
-                    lvl, deg = pair
-                    est = (
-                        0.0
-                        if deg == 0
-                        else pow_table[max((lvl + 1) // lpg - 1, 0)]
-                    )
-                    est_changes.append((v, est))
-                    lvl_changes.append((v, lvl))
-            estimates = prev.estimates.evolve(est_changes)
-            levels = prev.levels.evolve(lvl_changes)
-        self._epoch_serial += 1
-        snap = EpochSnapshot(
-            epoch=self._epoch_serial, estimates=estimates, levels=levels
-        )
-        self._published = snap
-        return snap
-
-    def read_view(self) -> EpochSnapshot:
-        """The last published epoch (wait-free; never blocks on an
-        in-flight update).  Before any publication, the empty epoch-0
-        construction state."""
-        pub = self._published
-        return pub if pub is not None else EMPTY_EPOCH
-
-    @property
-    def read_epoch(self) -> int:
-        """Serial of the last published epoch (0 = never published)."""
-        return self._epoch_serial
+            return (
+                EpochImage._wrap(est_chunks, size),
+                EpochImage._wrap(lvl_chunks, size),
+            )
+        est_changes: list[tuple[int, float | None]] = []
+        lvl_changes: list[tuple[int, int | None]] = []
+        for v in touched:
+            pair = self._level_deg_of(v)
+            if pair is None:
+                est_changes.append((v, None))
+                lvl_changes.append((v, None))
+            else:
+                lvl, deg = pair
+                est = (
+                    0.0
+                    if deg == 0
+                    else pow_table[max((lvl + 1) // lpg - 1, 0)]
+                )
+                est_changes.append((v, est))
+                lvl_changes.append((v, lvl))
+        return prev.estimates.evolve(est_changes), prev.levels.evolve(lvl_changes)

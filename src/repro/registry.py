@@ -3,7 +3,7 @@
 Every dynamic k-core algorithm in the repository registers here exactly
 once, as an :class:`AlgorithmSpec` pairing an adapter factory with
 capability metadata (exact vs approximate, parallel vs sequential,
-deletion support, metering, snapshot support).  The experiment harness
+dynamic vs static rerun, snapshot support, sharding).  The experiment harness
 (:mod:`repro.bench.harness`), the CLI (:mod:`repro.cli`), and the
 serving layer (:mod:`repro.service`) all resolve algorithms through this
 module — there is no other key→factory table in the package.
@@ -25,7 +25,8 @@ Example
 ('plds', 'pldsopt', 'lds', 'sun', 'hua', 'zhang', 'plds-sharded')
 >>> make_adapter("plds", n_hint=100).key
 'plds'
->>> sorted(k for k in algorithm_keys() if algorithm_spec(k).async_reads)
+>>> from repro.core.query import QueryView
+>>> sorted(k for k in algorithm_keys() if isinstance(make_adapter(k, 8).impl, QueryView))
 ['lds', 'plds', 'plds-sharded', 'pldsopt']
 """
 
@@ -39,6 +40,7 @@ from .baselines.sun import SunApproxDynamic
 from .baselines.zhang import ZhangExactDynamic
 from .core.lds import LDS
 from .core.plds import PLDS
+from .core.query import QueryView
 from .graphs.streams import Batch
 from .obs import tracing as _tracing
 from .parallel.engine import Cost, WorkDepthTracker
@@ -121,15 +123,14 @@ class StaticRerunAdapter:
 class DynamicKCoreAdapter:
     """Uniform facade over the dynamic k-core implementations."""
 
-    def __init__(self, key: str, impl: Any, is_exact: bool) -> None:
+    def __init__(self, key: str, impl: Any) -> None:
         self.key = key
         self.impl = impl
-        self.is_exact = is_exact
 
     # -- lifecycle -------------------------------------------------------
 
     def initialize(self, edges: Sequence[tuple[int, int]]) -> None:
-        if isinstance(self.impl, (PLDS, LDS)):
+        if isinstance(self.impl, PLDS):
             if edges:
                 self.impl.update(Batch(insertions=list(edges)))
         else:
@@ -137,13 +138,9 @@ class DynamicKCoreAdapter:
 
     def update(self, batch: Batch) -> None:
         tracer = _tracing.ACTIVE
-        if (
-            tracer is None
-            or isinstance(self.impl, PLDS)
-            or getattr(self.impl, "SELF_TRACING", False)
-        ):
-            # The PLDS family and self-tracing engines (the sharded
-            # coordinator) trace their own (finer-grained) update spans.
+        if tracer is None or isinstance(self.impl, QueryView):
+            # Level-structure engines (the PLDS family and the sharded
+            # coordinator) trace their own update spans.
             self.impl.update(batch)
             return
         with tracer.span(
@@ -159,7 +156,7 @@ class DynamicKCoreAdapter:
 
     def estimates(self) -> dict[int, float]:
         if isinstance(
-            self.impl, (PLDS, LDS, SunApproxDynamic, StaticRerunAdapter, Coordinator)
+            self.impl, (QueryView, SunApproxDynamic, StaticRerunAdapter)
         ):
             return self.impl.coreness_estimates()
         return {v: float(k) for v, k in self.impl.corenesses().items()}
@@ -205,12 +202,6 @@ class AlgorithmSpec:
     dynamic:
         ``False`` for the static-rerun pseudo-algorithms (Fig. 11),
         which recompute from scratch every batch.
-    supports_deletions:
-        Whether the Del/Mix protocols are meaningful for this key.
-    metered:
-        Whether the implementation charges a
-        :class:`~repro.parallel.engine.WorkDepthTracker` (all built-ins
-        do; external engines may not).
     snapshot:
         Whether the engine supports exact structural snapshot/restore
         (``to_snapshot``/``from_snapshot``); others are restored by
@@ -222,14 +213,11 @@ class AlgorithmSpec:
         count itself is a construction parameter (``make_adapter``'s
         ``shards``); inspect ``adapter.impl.num_shards`` (or
         ``adapter.impl.kernels``) at runtime.
-    async_reads:
-        Whether the engine exposes the path-copied epoch surface
-        (:class:`~repro.core.query.QueryView` — ``publish_epoch`` /
-        ``read_view`` / ``last_moved``), letting
-        :class:`~repro.service.CoreService` publish incremental read
-        epochs at commit.  Engines without it still serve wait-free
-        reads through the service, via a full estimate sweep per
-        published epoch.
+
+    Whether an engine builds path-copied epoch images is not metadata:
+    :class:`~repro.service.CoreService` publishes incrementally for any
+    :class:`~repro.core.query.QueryView` engine and from a full
+    estimate sweep for the rest.
     """
 
     key: str
@@ -238,11 +226,8 @@ class AlgorithmSpec:
     exact: bool
     parallel: bool
     dynamic: bool = True
-    supports_deletions: bool = True
-    metered: bool = True
     snapshot: bool = False
     sharded: bool = False
-    async_reads: bool = False
 
 
 _ALGORITHMS: dict[str, AlgorithmSpec] = {}
@@ -348,7 +333,6 @@ def _plds_factory(key: str, group_shrink_from: str | None) -> AdapterFactory:
                 group_shrink=shrink,
                 upper_coeff=p["upper_coeff"],
             ),
-            False,
         )
 
     return build
@@ -358,7 +342,6 @@ def _lds_factory(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
     return DynamicKCoreAdapter(
         "lds",
         LDS(n_hint, delta=p["delta"], lam=p["lam"], upper_coeff=p["upper_coeff"]),
-        False,
     )
 
 
@@ -368,7 +351,6 @@ def _sun_factory(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
         SunApproxDynamic(
             n_hint, eps=p["sun_eps"], lam=p["sun_lam"], alpha=p["sun_alpha"]
         ),
-        False,
     )
 
 
@@ -383,15 +365,12 @@ def _sharded_factory(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
             shards=int(p["shards"]),
             partition=p["partition"],
         ),
-        False,
     )
 
 
 def _static_factory(kind: str) -> AdapterFactory:
     def build(n_hint: int, p: Mapping[str, Any]) -> DynamicKCoreAdapter:
-        return DynamicKCoreAdapter(
-            kind, StaticRerunAdapter(kind, WorkDepthTracker()), kind == "exactkcore"
-        )
+        return DynamicKCoreAdapter(kind, StaticRerunAdapter(kind, WorkDepthTracker()))
 
     return build
 
@@ -400,19 +379,19 @@ register_algorithm(AlgorithmSpec(
     key="plds",
     summary="PLDS, the paper's parallel level data structure (Section 5)",
     factory=_plds_factory("plds", None),
-    exact=False, parallel=True, snapshot=True, async_reads=True,
+    exact=False, parallel=True, snapshot=True,
 ))
 register_algorithm(AlgorithmSpec(
     key="pldsopt",
     summary="PLDS with group_shrink=50, the practical variant (Section 6.1)",
     factory=_plds_factory("pldsopt", "group_shrink_opt"),
-    exact=False, parallel=True, snapshot=True, async_reads=True,
+    exact=False, parallel=True, snapshot=True,
 ))
 register_algorithm(AlgorithmSpec(
     key="lds",
     summary="sequential level data structure baseline (Section 5.2)",
     factory=_lds_factory,
-    exact=False, parallel=False, snapshot=True, async_reads=True,
+    exact=False, parallel=False, snapshot=True,
 ))
 register_algorithm(AlgorithmSpec(
     key="sun",
@@ -423,13 +402,13 @@ register_algorithm(AlgorithmSpec(
 register_algorithm(AlgorithmSpec(
     key="hua",
     summary="Hua et al. parallel exact batch-dynamic baseline",
-    factory=lambda n, p: DynamicKCoreAdapter("hua", HuaExactBatchDynamic(), True),
+    factory=lambda n, p: DynamicKCoreAdapter("hua", HuaExactBatchDynamic()),
     exact=True, parallel=True,
 ))
 register_algorithm(AlgorithmSpec(
     key="zhang",
     summary="Zhang et al. sequential exact dynamic baseline",
-    factory=lambda n, p: DynamicKCoreAdapter("zhang", ZhangExactDynamic(), True),
+    factory=lambda n, p: DynamicKCoreAdapter("zhang", ZhangExactDynamic()),
     exact=True, parallel=False,
 ))
 register_algorithm(AlgorithmSpec(
@@ -449,7 +428,6 @@ register_algorithm(AlgorithmSpec(
     summary="partitioned PLDS behind the scatter-gather shard coordinator",
     factory=_sharded_factory,
     exact=False, parallel=True, snapshot=True, sharded=True,
-    async_reads=True,
 ))
 
 

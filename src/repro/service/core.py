@@ -25,13 +25,14 @@ is the seam those PRs extend: one session object that
   from the committed edge set via the registry so queries keep answering
   within the ``(2+ε)`` guarantee (exact static recompute as last
   resort);
-- answers coreness / core-membership / core-subgraph queries against the
-  *current* state, or against a :class:`ServiceSnapshot` so reads can
-  proceed consistently while later batches apply — and publishes an
-  immutable :class:`~repro.core.query.EpochSnapshot` at every commit so
+- publishes an immutable :class:`~repro.core.query.EpochSnapshot` at
+  every commit — the only copy of committed state — so
   :meth:`CoreService.reader` handles serve **wait-free reads** mid-batch
   with a provable one-in-flight-batch staleness bound (the
-  asynchronous-reads model of Liu–Shun–Zablotchi);
+  asynchronous-reads model of Liu–Shun–Zablotchi), and a
+  :class:`ServiceSnapshot` pins one epoch as a read view and restore
+  point; coreness / core-membership / core-subgraph queries on the
+  service itself answer from the *current* engine state;
 - emits per-batch :class:`BatchTelemetry` — metered work/depth, wall
   time, the simulated parallel running time ``T_p`` under
   :class:`~repro.parallel.scheduler.BrentScheduler`, and the
@@ -55,7 +56,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .. import faults as _faults
 from .admission import Admission, AdmissionController, AdmissionPolicy, LoadSignals
@@ -65,13 +66,7 @@ from ..obs import timeline as _timeline
 from ..obs import tracing as _tracing
 from ..core.invariants import structure_matches_edges
 from ..core.plds import PLDS
-from ..core.query import (
-    EMPTY_EPOCH,
-    CorenessQueries,
-    EpochImage,
-    EpochSnapshot,
-    QueryView,
-)
+from ..core.query import EMPTY_EPOCH, EpochImage, EpochSnapshot, QueryView
 from ..faults import InjectedFault
 from ..graphs import canonical_edge
 from ..graphs.streams import (
@@ -202,32 +197,23 @@ class BatchTelemetry:
 
 
 @dataclass(frozen=True)
-class ServiceSnapshot(CorenessQueries):
-    """A consistent read view of the service at one batch boundary.
+class ServiceSnapshot(EpochSnapshot):
+    """A consistent read view and restore point at one batch boundary.
 
-    Queries on the snapshot (:meth:`coreness`, :meth:`core_members`,
-    inherited from the shared
-    :class:`~repro.core.query.CorenessQueries` algebra) never change,
-    no matter how many batches the live service applies afterwards —
-    this is the consistency contract asynchronous readers rely on.
-    ``engine_state`` additionally holds the engine's exact structural
-    snapshot when the registry marks the algorithm ``snapshot``-capable
-    (the PLDS family), letting :meth:`CoreService.restore` rebuild
-    levels bit-identically instead of replaying the edge set.
-    ``read_epoch`` records the service's epoch counter so a restore
-    resumes publication monotonically instead of resetting.
+    It is the service's published epoch, pinned with its committed
+    edges (:attr:`ServiceReader.view`), so its queries — the
+    :class:`~repro.core.query.EpochSnapshot` surface — never change, no
+    matter how many batches the live service applies afterwards.
+    ``header`` is the engine's O(1) ``snapshot_header()`` (``None`` for
+    engines restored by replaying ``edges``): composed with ``levels``
+    and ``edges`` it gives the engine's exact structural snapshot, so
+    :meth:`CoreService.restore` rebuilds levels bit-identically.  A
+    restore resumes epoch numbering past ``epoch``.
     """
 
-    snapshot_id: int
-    algorithm: str
-    batches_applied: int
-    edges: tuple[tuple[int, int], ...]
-    estimates: Mapping[int, float] = field(repr=False)
-    engine_state: dict | None = field(default=None, repr=False)
-    read_epoch: int = 0
-
-    def _estimates_view(self) -> Mapping[int, float]:
-        return self.estimates
+    snapshot_id: int = 0
+    algorithm: str = ""
+    header: dict | None = field(default=None, repr=False)
 
 
 class ServiceReader:
@@ -455,9 +441,7 @@ class CoreService:
             self._driver, self.application = make_application(
                 application, n_hint, **engine_kwargs
             )
-            self._adapter = DynamicKCoreAdapter(
-                "plds", self._driver.plds, is_exact=False
-            )
+            self._adapter = DynamicKCoreAdapter("plds", self._driver.plds)
         else:
             self.algorithm = algorithm
             self._adapter = make_adapter(algorithm, n_hint, **engine_kwargs)
@@ -469,6 +453,10 @@ class CoreService:
         self.read_epoch = epoch_start
         self._in_flight = False
         self._published: EpochSnapshot = EMPTY_EPOCH
+        #: the engine whose images ``_published`` holds; any other
+        #: engine (a rollback, restore or degradation replaced it) must
+        #: build its first images from scratch.
+        self._epoch_source: Any = None
         self._publish_epoch()  # epoch_start+1: the (empty) initial state
 
     # -- state -----------------------------------------------------------
@@ -800,23 +788,26 @@ class CoreService:
         return ServiceReader(self)
 
     def _publish_epoch(self, touched: "set[int] | None" = None) -> EpochSnapshot:
-        """Publish the current committed state as the next read epoch.
+        """Publish the current committed state as the next read epoch,
+        the service's only record of it.
 
-        Engines exposing the :class:`~repro.core.query.QueryView`
-        surface publish by path copying (only the chunks of ``touched``
-        entries are copied and re-derived); everything else — including
-        the exact static engine the degradation ladder falls back to — is
-        published from a full estimate sweep.  No edges are copied (see
+        :class:`~repro.core.query.QueryView` engines build the images by
+        path copying from the previous epoch's (only the chunks of
+        ``touched`` entries are copied and re-derived), or from scratch
+        when the engine is not the one the previous epoch came from;
+        everything else — including the exact static engine the
+        degradation ladder falls back to — is published from a full
+        estimate sweep.  No edges are copied (see
         :attr:`ServiceReader.view`).  Callers must sit at a commit point:
         the journal commit, a degradation rebuild's end, or a snapshot
         restore.
         """
         impl = self._adapter.impl
-        publish = getattr(impl, "publish_epoch", None)
-        if publish is not None:
-            snap = publish(touched)
-            estimates = snap.estimates
-            levels = snap.levels
+        if isinstance(impl, QueryView):
+            if impl is not self._epoch_source:
+                touched = None
+                self._epoch_source = impl
+            estimates, levels = impl.publish_epoch(touched, self._published)
         else:
             estimates = EpochImage(self._adapter.estimates())
             levels = EpochImage()
@@ -851,9 +842,9 @@ class CoreService:
         if moved is None:
             return None
         touched = set(moved)
-        # The image the engine's publish path-copies from; every
-        # non-zero estimate is at least (1+δ)^0 = 1.0.
-        before = impl.read_view().estimates
+        # The image the next epoch path-copies from; every non-zero
+        # estimate is at least (1+δ)^0 = 1.0.
+        before = self._published.estimates
         for v in chain.from_iterable(batch.insertions):
             if not before.get(v):
                 touched.add(v)
@@ -881,22 +872,15 @@ class CoreService:
         return None
 
     def _roll_back(self, restore_point: dict | None) -> None:
-        """Put the engine back into the last *committed* state.
-
-        Snapshot-capable engines are rebuilt bit-identically from a
-        snapshot composed of ``restore_point`` (the batch-start header),
-        the published epoch's levels, and the committed edges — the
-        committed state, so an out-of-band edit of the engine does not
-        survive a rollback.  Everything else replays the committed
-        edges.  Only a failed attempt pays this O(n + m) work.
+        """Put the engine back into the last *committed* state: the
+        batch-start header, the published epoch's levels and the
+        committed edges (:meth:`_restore_engine`), so an out-of-band
+        edit of the engine does not survive a rollback.  Only a failed
+        attempt pays this O(n + m) work.
         """
-        edges = sorted(self._edges)
-        state = None
-        if restore_point is not None:
-            state = self._adapter.impl.compose_snapshot(
-                restore_point, self._published.levels, edges
-            )
-        self._restore_engine(edges, state)
+        self._restore_engine(
+            sorted(self._edges), restore_point, self._published.levels
+        )
 
     # -- auditing and graceful degradation -------------------------------
 
@@ -968,7 +952,7 @@ class CoreService:
         rec = _recorder.ACTIVE
         if self._driver is not None:
             self.quarantined = self._driver
-            self._restore_engine(edges, None)
+            self._restore_engine(edges, None, None)
             if not self.audit():
                 self.degraded_to = self.algorithm
                 if rec is not None:
@@ -1054,28 +1038,28 @@ class CoreService:
     # -- snapshots -------------------------------------------------------
 
     def snapshot(self) -> ServiceSnapshot:
-        """Freeze a consistent read view (and restore point) of the state."""
-        engine_state = None
-        if self._driver is None and self.spec.snapshot:
-            engine_state = self._adapter.impl.to_snapshot()
+        """Pin the published epoch as a consistent read view and restore
+        point.
+
+        It walks no engine: the epoch's images are immutable and shared,
+        its committed edges are frozen once per epoch
+        (:attr:`ServiceReader.view`), and the engine header is O(1).
+        """
         self._snapshot_counter += 1
         return ServiceSnapshot(
+            **vars(self.reader().view),
             snapshot_id=self._snapshot_counter,
             algorithm=self.algorithm,
-            batches_applied=self.batches_applied,
-            edges=tuple(sorted(self._edges)),
-            estimates=self.coreness_map(),
-            engine_state=engine_state,
-            read_epoch=self.read_epoch,
+            header=self._restore_point(),
         )
 
     def restore(self, snapshot: ServiceSnapshot) -> None:
         """Roll the service back to ``snapshot``.
 
         Snapshot-capable engines (PLDS family) are rebuilt bit-exactly
-        from their structural snapshot; everything else — including
-        hosted applications — is rebuilt by replaying the snapshotted
-        edge set as one insertion batch.  The journal is an append-only
+        from the snapshot's header, levels and edges; everything else —
+        including hosted applications — is rebuilt by replaying the
+        snapshotted edge set as one insertion batch.  The journal is an append-only
         log and is kept; :attr:`batches_applied` rewinds and
         :attr:`telemetry` is truncated to the snapshot's batch horizon so
         the two stay consistent (a telemetry row for a batch the service
@@ -1103,8 +1087,10 @@ class CoreService:
         mreg = _metrics.ACTIVE
         if mreg is not None:
             mreg.inc("service.restores", mode="snapshot")
-        self._restore_engine(snapshot.edges, snapshot.engine_state)
-        self._edges = {canonical_edge(u, v) for u, v in snapshot.edges}
+        self._restore_engine(
+            sorted(snapshot.edges), snapshot.header, snapshot.levels
+        )
+        self._edges = set(snapshot.edges)
         self.batches_applied = snapshot.batches_applied
         self.telemetry = [
             t for t in self.telemetry if t.batch_id <= snapshot.batches_applied
@@ -1112,40 +1098,41 @@ class CoreService:
         # Monotone epoch resumption: never re-issue a serial the live
         # service (or the snapshotted one) already published — readers
         # rely on epoch order agreeing with publication order.
-        self.read_epoch = max(self.read_epoch, snapshot.read_epoch)
+        self.read_epoch = max(self.read_epoch, snapshot.epoch)
         self._publish_epoch()
 
     def _restore_engine(
         self,
         edges: Sequence[tuple[int, int]],
-        engine_state: dict | None,
+        header: dict | None,
+        levels: EpochImage[int] | None,
     ) -> None:
-        """Put the engine into the state described by (edges, engine_state).
+        """Put the engine into the state described by sorted canonical
+        ``edges``, an engine ``header`` and the vertex ``levels``.
 
-        Shared by :meth:`restore` (rewind to a snapshot) and the
-        transactional rollback path (restore to the pre-batch state,
-        whose edge set the committed edges still hold).  The
-        engine's tracker is carried over on the exact-snapshot path so
-        metering stays monotone across rollbacks.
+        Shared by :meth:`restore` (rewind to a snapshot), the
+        transactional rollback (restore to the pre-batch state, whose
+        edge set the committed edges still hold) and the hosted
+        application's degradation rebuild.  With a header the engine's
+        ``compose_snapshot`` / ``from_snapshot`` rebuild it
+        bit-identically, carrying its tracker over so metering stays
+        monotone across rollbacks; without one (non-snapshot engines,
+        hosted applications, ``exactkcore``) the edges are replayed.
         """
         if self._driver is not None:
             assert self.application_key is not None
             self._driver, self.application = make_application(
                 self.application_key, self.n_hint, **self._engine_kwargs
             )
-            self._adapter = DynamicKCoreAdapter(
-                "plds", self._driver.plds, is_exact=False
-            )
+            self._adapter = DynamicKCoreAdapter("plds", self._driver.plds)
             if edges:
                 self._driver.update(Batch(insertions=list(edges)))
-        elif engine_state is not None:
-            impl_cls = type(self._adapter.impl)
+        elif header is not None:
+            impl = self._adapter.impl
+            state = impl.compose_snapshot(header, levels, edges)
             self._adapter = DynamicKCoreAdapter(
                 self.algorithm,
-                impl_cls.from_snapshot(
-                    engine_state, tracker=self._adapter.impl.tracker
-                ),
-                self.spec.exact,
+                type(impl).from_snapshot(state, tracker=impl.tracker),
             )
         else:
             self._adapter = make_adapter(

@@ -78,7 +78,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .. import faults as _faults
 from ..core.plds import UpdateResult, _LevelOverflow, _VertexRecord
-from ..core.query import EpochSnapshot, QueryView
+from ..core.query import EpochImage, EpochSnapshot, QueryView
 from ..faults import InjectedFault
 from ..graphs.streams import Batch, check_batch
 from ..obs import metrics as _metrics
@@ -112,9 +112,6 @@ class Coordinator(QueryView):
         transaction.
     """
 
-    #: The registry adapter skips its generic ``engine.update`` span —
-    #: this engine emits its own richer ``coordinator.update`` span.
-    SELF_TRACING = True
     _SPAN_NAME = "coordinator.update"
 
     def __init__(
@@ -210,29 +207,9 @@ class Coordinator(QueryView):
         if edges:
             self.update(Batch(insertions=edges))
 
-    def update(self, batch: Batch) -> UpdateResult:
-        """Apply one batch: validate, scatter, cascade, gather."""
-        self._initialized = True
-        tracer = _tracing.ACTIVE
-        if tracer is None:
-            result = self._apply_batch(batch)
-        else:
-            with tracer.span(
-                self._SPAN_NAME,
-                self.tracker,
-                insertions=len(batch.insertions),
-                deletions=len(batch.deletions),
-                shards=self.num_shards,
-            ):
-                result = self._apply_batch(batch)
-        if self._levels_reshaped:
-            self.last_moved = None
-            self._levels_reshaped = False
-        else:
-            self.last_moved = result.moved_vertices
-        return result
-
     def _apply_batch(self, batch: Batch) -> UpdateResult:
+        """One batch of :meth:`update`: validate, scatter, cascade, gather."""
+        self._initialized = True
         self.tracker.add(work=max(1, len(batch)), depth=5)
         ins, dels, _, _ = check_batch(batch, self._lookup_edges)
         result = UpdateResult()
@@ -715,21 +692,19 @@ class Coordinator(QueryView):
     # -- epoch-versioned reads ------------------------------------------
 
     def publish_epoch(
-        self, touched: Iterable[int] | None = None
-    ) -> EpochSnapshot:
+        self, touched: Iterable[int] | None, prev: EpochSnapshot
+    ) -> tuple[EpochImage[float], EpochImage[int]]:
         """:meth:`QueryView.publish_epoch` over the owner kernels' records.
 
         A kernel-level vertex insert/delete re-levels that shard outside
-        batch move accounting, so it forces a full publish here, as the
-        coordinated rebuild does through :attr:`last_moved`.  Shard-local
-        rollback leaves the published epoch alone: readers keep the last
-        epoch published here, never a half-applied state.
+        batch move accounting, so it forces a full build here, as the
+        coordinated rebuild does through :attr:`last_moved`.
         """
         for k in self.kernels:
             if k._levels_reshaped:
                 k._levels_reshaped = False
                 touched = None
-        return super().publish_epoch(touched)
+        return super().publish_epoch(touched, prev)
 
     # -- cross-shard consistency checks ---------------------------------
 
@@ -786,9 +761,9 @@ class Coordinator(QueryView):
         Each shard section holds its local levels and its *counted*
         edges; the union reconstructs the global structure (levels
         fully determine the U/L partitions, as for the monolithic
-        PLDS).  The partitioner's explicit assignment rides along so a
-        restore re-creates the exact same ownership, ghost sets, and
-        directory.  As for :class:`~repro.core.plds.PLDS`, this is the
+        PLDS).  The partitioner's explicit assignment rides along in the
+        header so a restore re-creates the exact same ownership, ghost
+        sets, and directory.  As for :class:`~repro.core.plds.PLDS`, this is the
         O(1) :meth:`snapshot_header` composed with the gathered level
         image and edge set by :meth:`compose_snapshot`.
         """
@@ -800,7 +775,12 @@ class Coordinator(QueryView):
 
     def snapshot_header(self) -> dict:
         """The O(1) parameter part of :meth:`to_snapshot` (``n_hint``
-        changes on a rebuild, so take it before the state to restore)."""
+        changes on a rebuild, so take it before the state to restore).
+
+        It carries the partitioner's assignment (computed once, when the
+        partitioner was built): a degradation rebuild re-partitions, so
+        a header taken earlier must pin the ownership it describes.
+        """
         return {
             "format": 1,
             "sharded": True,
@@ -816,6 +796,7 @@ class Coordinator(QueryView):
                 "partition": self.partition,
                 "shard_retry_limit": self.shard_retry_limit,
             },
+            "assignment": self.partitioner.assignment_items(),
         }
 
     def compose_snapshot(
@@ -825,15 +806,11 @@ class Coordinator(QueryView):
         edges: Iterable[tuple[int, int]],
     ) -> dict:
         """A :meth:`to_snapshot` dict from a header, a global vertex ->
-        level map, and canonical edges, split by owner shard.
-
-        The assignment is read here, not in the header: it is fixed
-        once :meth:`initialize` ran, so it is the same for any state of
-        this coordinator that a header could describe.
-        """
-        partitioner = self.partitioner
-        owner = partitioner.owner
-        shards = range(partitioner.num_shards)
+        level map, and canonical edges, split by the header's owners."""
+        shards = range(header["params"]["shards"])
+        owner = Partitioner(
+            len(shards), assignment=dict(header["assignment"])
+        ).owner
         shard_levels: list[list[list[int]]] = [[] for _ in shards]
         shard_edges: list[list[tuple[int, int]]] = [[] for _ in shards]
         for v, lvl in levels.items():
@@ -842,7 +819,6 @@ class Coordinator(QueryView):
             shard_edges[owner(e[0])].append(e)  # counted on owner(min)
         return {
             **header,
-            "assignment": partitioner.assignment_items(),
             "shards": [
                 {
                     "shard": s,

@@ -58,6 +58,9 @@ class Partitioner:
         for v, s in self._assignment.items():
             if not 0 <= s < num_shards:
                 raise ValueError(f"assignment maps {v} to invalid shard {s}")
+        # The assignment never changes, so its snapshot form is built
+        # once: every batch's restore point reads it in O(1).
+        self._items = sorted([v, s] for v, s in self._assignment.items())
 
     def owner(self, v: int) -> int:
         """Owner shard of vertex ``v``."""
@@ -65,8 +68,9 @@ class Partitioner:
         return s if s is not None else v % self.num_shards
 
     def assignment_items(self) -> list[list[int]]:
-        """Sorted ``[vertex, shard]`` pairs (JSON-friendly, for snapshots)."""
-        return sorted([v, s] for v, s in self._assignment.items())
+        """Sorted ``[vertex, shard]`` pairs (JSON-friendly, for snapshots;
+        shared, so callers must not mutate them)."""
+        return self._items
 
     @classmethod
     def degree_balanced(

@@ -11,6 +11,7 @@ from repro.bench.harness import (
 )
 from repro.bench.metrics import error_stats
 from repro.graphs.generators import barabasi_albert
+from repro.registry import algorithm_spec
 
 EDGES = barabasi_albert(100, 3, seed=1)
 
@@ -57,10 +58,10 @@ class TestAdapters:
             make_adapter("nope", n_hint=10)
 
     def test_exact_flags(self):
-        assert make_adapter("zhang", n_hint=10).is_exact
-        assert make_adapter("exactkcore", n_hint=10).is_exact
-        assert not make_adapter("plds", n_hint=10).is_exact
-        assert not make_adapter("approxkcore", n_hint=10).is_exact
+        assert algorithm_spec("zhang").exact
+        assert algorithm_spec("exactkcore").exact
+        assert not algorithm_spec("plds").exact
+        assert not algorithm_spec("approxkcore").exact
 
     @pytest.mark.parametrize("key", ["exactkcore", "approxkcore"])
     def test_static_rerun_adapters(self, key):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plds import PLDS
-from repro.core.query import CHUNK_WIDTH, EpochImage, EpochSnapshot
+from repro.core.query import CHUNK_WIDTH, EMPTY_EPOCH, EpochImage, EpochSnapshot
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch
 from repro.service import CoreService
@@ -140,8 +140,6 @@ def test_commit_copies_only_touched_chunks(algorithm):
         new = svc._published
         touched = _touched(svc, batch)
         touched_chunks = {v // CHUNK_WIDTH for v in touched}
-        # The service epoch wraps the engine's images without a copy.
-        assert new.estimates is svc.engine.read_view().estimates
         for name in ("estimates", "levels"):
             old_chunks = getattr(prev, name)._chunks
             new_chunks = getattr(new, name)._chunks
@@ -173,14 +171,13 @@ def test_pinned_view_shares_the_published_images():
 def test_kernel_reshape_forces_full_sharded_publish():
     coord = Coordinator(64, shards=3)
     coord.initialize([(0, 1), (1, 2), (2, 3)])
-    first = coord.publish_epoch(None)
+    first = EpochSnapshot(1, *coord.publish_epoch(None, EMPTY_EPOCH))
     v = 40
     kernel = coord.kernels[coord.partitioner.owner(v)]
     kernel.insert_vertices([v])
     # Nothing touched, but a kernel re-levelled outside batch accounting.
-    snap = coord.publish_epoch(set())
-    assert v not in first.levels and snap.levels[v] == 0
-    assert coord.read_epoch == snap.epoch == first.epoch + 1
+    _, levels = coord.publish_epoch(set(), first)
+    assert v not in first.levels and levels[v] == 0
 
 
 @pytest.mark.shard
@@ -193,15 +190,15 @@ def test_sharded_rebuild_clears_last_moved(shards):
     mono.update(Batch(insertions=path))
     coord = Coordinator(4, shards=shards)
     coord.update(Batch(insertions=path[:2]))
-    coord.publish_epoch(coord.last_moved)
+    first = EpochSnapshot(1, *coord.publish_epoch(coord.last_moved, EMPTY_EPOCH))
     hint = coord.n_hint
     coord.update(Batch(insertions=path[2:]))
     assert coord.n_hint > hint, "the batch did not rebuild"
     assert mono.last_moved is None
     assert coord.last_moved is None
-    snap = coord.publish_epoch(coord.last_moved)
-    assert dict(snap.levels) == {r.id: r.level for r in coord._records()}
-    assert dict(snap.estimates) == coord.coreness_estimates()
+    estimates, levels = coord.publish_epoch(coord.last_moved, first)
+    assert dict(levels) == {r.id: r.level for r in coord._records()}
+    assert dict(estimates) == coord.coreness_estimates()
 
 
 # ---------------------------------------------------------------------------

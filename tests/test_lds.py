@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.invariants import approximation_violations
 from repro.core.lds import LDS
-from repro.graphs.generators import erdos_renyi, ring_of_cliques
+from repro.core.plds import PLDS
+from repro.graphs.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from repro.graphs.streams import Batch
 from repro.static_kcore.exact import exact_coreness
 
@@ -114,3 +115,23 @@ class TestLevelTableOverflow:
         est = lds.coreness_estimates()
         factor = lds.approximation_factor()
         assert all(49 / factor <= est[v] <= 49 * factor for v in range(50))
+
+
+class TestRebuildReplayOrder:
+    def test_totals_do_not_follow_edge_iteration_order(self, monkeypatch):
+        """A Section-5.9 rebuild replays the edges sorted: LDS replays
+        them one at a time, so an order that follows record-set
+        iteration (object addresses) would move its metered totals."""
+        edges = barabasi_albert(300, 3, seed=0)
+
+        def totals():
+            lds = LDS(8)  # 300 vertices: rebuilds on the first batch
+            lds.update(Batch(insertions=edges))
+            for i in range(0, len(edges), 100):
+                lds.update(Batch(deletions=edges[i : i + 100]))
+            return lds.tracker.cost
+
+        base = totals()
+        forward = PLDS.edges
+        monkeypatch.setattr(PLDS, "edges", lambda self: reversed(list(forward(self))))
+        assert totals() == base

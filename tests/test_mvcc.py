@@ -27,15 +27,16 @@ from repro.bench.chaos import (
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch, deletion_batches, insertion_batches
 from repro.obs import metrics, tracing
-from repro.registry import algorithm_keys, algorithm_spec
+from repro.core.query import QueryView
+from repro.registry import algorithm_keys, make_adapter
 from repro.service import AuditPolicy, CoreService, ReadResult, RetryPolicy
 
 pytestmark = pytest.mark.mvcc
 
 EDGES = barabasi_albert(60, 3, seed=2)
 
-#: Engines with copy-on-write epoch publication (``async_reads`` in the
-#: registry) plus representatives of the full-sweep fallback path.
+#: Engines with copy-on-write epoch images (``QueryView`` engines) plus
+#: representatives of the full-sweep fallback path.
 QUERYVIEW_ALGOS = ("plds", "pldsopt", "plds-sharded")
 FALLBACK_ALGOS = ("lds", "sun", "zhang")
 
@@ -352,7 +353,7 @@ class TestEpochMonotonicity:
         batches = insertion_batches(EDGES, 40, seed=9)
         svc.apply_batch(batches[0])
         snap = svc.snapshot()
-        assert snap.read_epoch == svc.read_epoch
+        assert snap.epoch == svc.read_epoch
         svc.apply_batch(batches[1])
         epoch = svc.reader().epoch
         svc.restore(snap)
@@ -385,9 +386,9 @@ class TestEpochMonotonicity:
 # The published epoch is the committed state a rollback rebuilds from
 # ---------------------------------------------------------------------------
 
-#: Every engine publishing its own copy-on-write level image.
+#: Every engine building copy-on-write level images.
 ASYNC_READ_ALGOS = tuple(
-    k for k in algorithm_keys() if algorithm_spec(k).async_reads
+    k for k in algorithm_keys() if isinstance(make_adapter(k, 8).impl, QueryView)
 )
 
 

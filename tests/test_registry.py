@@ -7,6 +7,7 @@ import pytest
 import repro.bench.harness as harness
 from repro.graphs.generators import barabasi_albert
 from repro.graphs.streams import Batch
+from repro.static_kcore.exact import exact_coreness
 from repro.registry import (
     AlgorithmSpec,
     ApplicationSpec,
@@ -50,9 +51,11 @@ class TestAlgorithmRegistry:
     def test_metadata_consistency(self, key):
         spec = algorithm_spec(key)
         adapter = make_adapter(key, n_hint=10)
-        assert adapter.is_exact == spec.exact
-        assert spec.supports_deletions
-        assert spec.metered
+        if spec.exact:
+            # The flag is truthful: an exact engine reports true coreness.
+            adapter.initialize(EDGES[:60])
+            truth = exact_coreness(EDGES[:60])
+            assert adapter.estimates() == {v: float(c) for v, c in truth.items()}
         if spec.snapshot:
             assert hasattr(adapter.impl, "to_snapshot")
         if spec.sharded:

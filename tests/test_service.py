@@ -139,7 +139,8 @@ class TestSnapshots:
     def test_restore_plds_is_bit_identical(self):
         svc = _loaded_service("plds")
         snap = svc.snapshot()
-        assert snap.engine_state is not None  # exact structural snapshot
+        state = svc.engine.to_snapshot()
+        assert snap.header is not None  # exact structural restore
         svc.apply_batch(Batch(deletions=list(EDGES[:250])))
         assert svc.coreness_map() != snap.coreness_map()
         svc.restore(snap)
@@ -147,12 +148,12 @@ class TestSnapshots:
         assert svc.num_edges == len(snap.edges)
         assert svc.batches_applied == snap.batches_applied
         # The restored engine's own snapshot reproduces the stored state.
-        assert svc.snapshot().engine_state == snap.engine_state
+        assert svc.engine.to_snapshot() == state
 
     def test_restore_by_replay_for_exact_engine(self):
         svc = _loaded_service("zhang")
         snap = svc.snapshot()
-        assert snap.engine_state is None  # no structural snapshot: replay
+        assert snap.header is None  # no structural snapshot: replay
         svc.apply_batch(Batch(deletions=list(EDGES[:30])))
         svc.restore(snap)
         assert svc.coreness_map() == snap.coreness_map()

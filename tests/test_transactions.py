@@ -9,6 +9,8 @@ exact static recompute).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from repro import faults
@@ -191,7 +193,7 @@ def test_from_journal_replays_committed_prefix_bit_identically(tmp_path):
     )
     assert recovered.coreness_map() == svc.coreness_map()
     assert recovered.num_edges == svc.num_edges
-    assert recovered.snapshot().engine_state == svc.snapshot().engine_state
+    assert recovered.engine.to_snapshot() == svc.engine.to_snapshot()
 
 
 def test_from_journal_skips_pending_and_aborted_records():
@@ -232,6 +234,7 @@ def test_exhausted_retries_reraise_with_state_rolled_back():
     first = insertion_batches(EDGES, 60, seed=3)[0]
     svc.apply_batch(first)
     pre = svc.snapshot()
+    pre_state = svc.engine.to_snapshot()
     # Both attempts of the next batch crash (the plan is activated after
     # the first batch, so its attempts are hits 1 and 2).
     plan = FaultPlan([FaultPoint("service.apply", 1), FaultPoint("service.apply", 2)])
@@ -240,7 +243,7 @@ def test_exhausted_retries_reraise_with_state_rolled_back():
             svc.apply_batch(insertion_batches(EDGES, 60, seed=3)[1])
     assert svc.journal.records[-1].status == "aborted"
     assert svc.batches_applied == 1
-    assert svc.snapshot().engine_state == pre.engine_state
+    assert svc.engine.to_snapshot() == pre_state
     assert svc.coreness_map() == pre.coreness_map()
     # The service still serves: the batch succeeds once faults are gone.
     svc.apply_batch(insertion_batches(EDGES, 60, seed=3)[1])
@@ -297,6 +300,7 @@ def test_restore_under_deletion_heavy_stream(algorithm):
     for batch in insertion_batches(EDGES, 50, seed=4):
         svc.apply_batch(batch)
     snap = svc.snapshot()
+    state = svc.engine.to_snapshot() if svc.spec.snapshot else None
     for batch in deletion_batches(EDGES[: len(EDGES) // 2], 25, seed=4):
         svc.apply_batch(batch)
     svc.restore(snap)
@@ -304,7 +308,7 @@ def test_restore_under_deletion_heavy_stream(algorithm):
     assert svc.batches_applied == snap.batches_applied
     if svc.spec.snapshot:
         # PLDS family restores are bit-identical, not merely equivalent.
-        assert svc.snapshot().engine_state == snap.engine_state
+        assert svc.engine.to_snapshot() == state
         assert svc.coreness_map() == snap.coreness_map()
     elif svc.spec.exact:
         assert svc.coreness_map() == snap.coreness_map()
@@ -316,10 +320,11 @@ def test_restore_under_mixed_batch(algorithm):
     svc = CoreService(algorithm, n_hint=128)
     svc.apply_batch(Batch(insertions=list(initial)))
     snap = svc.snapshot()
+    state = svc.engine.to_snapshot()
     svc.apply_batch(batch)
     assert svc.snapshot().edges != snap.edges
     svc.restore(snap)
-    assert svc.snapshot().engine_state == snap.engine_state
+    assert svc.engine.to_snapshot() == state
     assert svc.coreness_map() == snap.coreness_map()
 
 
@@ -328,12 +333,13 @@ def test_restore_after_failed_batch():
     for batch in insertion_batches(EDGES, 60, seed=7)[:3]:
         svc.apply_batch(batch)
     snap = svc.snapshot()
+    state = svc.engine.to_snapshot()
     plan = FaultPlan([FaultPoint("plds.rise", 1)])
     with faults.active(plan):
         with pytest.raises(InjectedFault):
             svc.apply_batch(insertion_batches(EDGES, 60, seed=7)[3])
     svc.restore(snap)
-    assert svc.snapshot().engine_state == snap.engine_state
+    assert svc.engine.to_snapshot() == state
     assert svc.coreness_map() == snap.coreness_map()
 
 
@@ -342,6 +348,59 @@ def test_restore_rejects_algorithm_mismatch():
     svc_b = CoreService("lds", n_hint=16)
     with pytest.raises(ValueError, match="snapshot was taken from"):
         svc_b.restore(svc_a.snapshot())
+
+
+# ---------------------------------------------------------------------------
+# One restore record: the published epoch plus the O(1) engine header
+# ---------------------------------------------------------------------------
+
+#: The edges of EDGES among vertices 0-7: a state small enough for a
+#: 50-clique to rise past the top level of its n_hint=8 table.
+SMALL = [e for e in EDGES if max(e) < 8]
+
+
+def _walked(*_args, **_kwargs):
+    raise AssertionError("snapshot() walked the engine")
+
+
+@pytest.mark.parametrize("algorithm", ["plds", "pldsopt", "lds", "plds-sharded"])
+def test_snapshot_walks_no_engine_and_restores_bit_identically(
+    algorithm, monkeypatch
+):
+    svc = CoreService(algorithm, n_hint=8)
+    svc.apply_batch(Batch(insertions=SMALL[:6]))
+    svc.apply_batch(Batch(insertions=SMALL[6:]))
+    state = svc.engine.to_snapshot()
+    with monkeypatch.context() as m:
+        m.setattr(svc.engine, "to_snapshot", _walked)
+        m.setattr(svc.engine, "_records", _walked)
+        snap = svc.snapshot()
+    svc.apply_batch(Batch(deletions=SMALL[:3]))
+    engine = svc.engine
+    table = engine.kernels[0] if algorithm == "plds-sharded" else engine
+    assert table._inv1_bound_int[-1] < 49  # the clique's degree
+    svc.apply_batch(Batch(insertions=list(combinations(range(100, 150), 2))))
+    assert svc.engine.n_hint > state["params"]["n_hint"]
+    svc.restore(snap)
+    assert svc.engine.to_snapshot() == state
+
+
+@pytest.mark.shard
+def test_restore_keeps_the_snapshot_partition_after_a_degrade_rebuild():
+    svc = CoreService(
+        "plds-sharded", n_hint=128, partition="degree", audit=AuditPolicy("every")
+    )
+    for batch in insertion_batches(EDGES, 60, seed=13):
+        svc.apply_batch(batch)
+    state = svc.engine.to_snapshot()
+    snap = svc.snapshot()
+    _corrupt(svc)
+    assert svc.apply_batch(Batch(insertions=[(500, 501)])).degraded
+    # Rung 1 rebuilt the engine, and its bootstrap re-partitioned by degree.
+    assert svc.degraded_to == "plds-sharded"
+    assert svc.engine.partitioner.assignment_items() != state["assignment"]
+    svc.restore(snap)
+    assert svc.engine.to_snapshot() == state
 
 
 # ---------------------------------------------------------------------------
